@@ -2,7 +2,7 @@
 
 Layers:
 
-* :mod:`partx.partitions` — enumeration and the brute-force oracle
+* :mod:`partx.partitions` — enumeration and the coin-change oracle
 * :mod:`partx.counting`   — arbitrary-precision closed forms and residues
 * :mod:`partx.series`     — truncated exact generating series
 * :mod:`partx.identities` — identity and congruence verification sweeps

@@ -54,19 +54,23 @@ def _emit_csv(rows: list[list]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _load_cache(args) -> tuple[CountTable | None, int | None]:
+def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
     """Open the table behind --cache, honouring --verify-cache.
 
-    Returns (table, exit_code); a non-None exit code aborts the command.
+    Returns (table, stored, exit_code): ``stored`` is the number of entries
+    in the file (0 when it is absent), and a non-None exit code aborts the
+    command.
     """
     if getattr(args, "verify_cache", False) and not args.cache:
         raise ValueError("--verify-cache requires --cache")
     if not args.cache:
-        return None, None
+        return None, 0, None
     if os.path.exists(args.cache):
         table = counting.load_table(args.cache)
+        stored = len(table)
     else:
         table = CountTable()
+        stored = 0
     if getattr(args, "verify_cache", False):
         bad = counting.consistency_check(table)
         if bad:
@@ -75,17 +79,18 @@ def _load_cache(args) -> tuple[CountTable | None, int | None]:
                 f"recurrence (first at n={bad[0]})",
                 file=sys.stderr,
             )
-            return None, 1
-    return table, None
+            return None, stored, 1
+    return table, stored, None
 
 
-def _save_cache(args, table: CountTable | None) -> None:
-    if table is not None and args.cache:
+def _save_cache(args, table: CountTable | None, stored: int) -> None:
+    # Write only what would change the file: a new file or a longer table.
+    if table is not None and args.cache and len(table) > stored:
         counting.save_table(table, args.cache)
 
 
 def _cmd_count(args) -> int:
-    table, abort = _load_cache(args)
+    table, stored, abort = _load_cache(args)
     if abort is not None:
         return abort
     value = counting.partition_count(args.n, table)
@@ -95,7 +100,7 @@ def _cmd_count(args) -> int:
         _emit_csv([["n", "partition_count"], [args.n, value]])
     else:
         print(value)
-    _save_cache(args, table)
+    _save_cache(args, table, stored)
     return 0
 
 
@@ -103,7 +108,7 @@ def _cmd_stats(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"stats needs n >= 1, got n={n}")
-    table, abort = _load_cache(args)
+    table, stored, abort = _load_cache(args)
     if abort is not None:
         return abort
     kmax = args.kmax if args.kmax is not None else n
@@ -144,7 +149,7 @@ def _cmd_stats(args) -> int:
             print(f"partitions of {n} ({p} total):")
             for line in listing:
                 print(f"  {line}")
-    _save_cache(args, table)
+    _save_cache(args, table, stored)
     return 0
 
 
@@ -163,7 +168,7 @@ def _cmd_table(args) -> int:
         raise ValueError(f"table needs n >= 1, got n={n}")
     if kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {kmax}")
-    table, abort = _load_cache(args)
+    table, stored, abort = _load_cache(args)
     if abort is not None:
         return abort
     s, columns = _table_columns(n, kmax, table)
@@ -199,7 +204,7 @@ def _cmd_table(args) -> int:
         print(f"occurrence table for n={n}, k=1..{kmax} (every column sums to S({n})={s})")
         for row in cells:
             print("  ".join(val.rjust(w) for val, w in zip(row, widths)))
-    _save_cache(args, table)
+    _save_cache(args, table, stored)
     return 0
 
 

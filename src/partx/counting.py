@@ -19,6 +19,8 @@ congruence sweeps at large n.
 
 from __future__ import annotations
 
+import os
+
 TABLE_HEADER = "#partition-table v1"
 
 
@@ -200,11 +202,21 @@ def consistency_check(table: CountTable) -> list[int]:
 
 
 def save_table(table: CountTable, path) -> None:
-    """Write ``table`` in the partition-table v1 format (one ``n,P(n)`` per line)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(TABLE_HEADER + "\n")
-        for n, value in enumerate(table._values):
-            fh.write(f"{n},{value}\n")
+    """Write ``table`` in the partition-table v1 format (one ``n,P(n)`` per line).
+
+    The table goes to a temporary file beside ``path`` that then replaces
+    it, so a write that fails partway leaves any earlier file intact.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(TABLE_HEADER + "\n")
+            for n, value in enumerate(table._values):
+                fh.write(f"{n},{value}\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failure
+            os.remove(tmp)
 
 
 def load_table(path) -> CountTable:

@@ -5,13 +5,15 @@ with the requested backend and returns an :class:`IdentityReport`;
 :func:`sweep` runs a verifier over a rectangle of (n, k) values and
 collects every failing report without short-circuiting.
 
-Backends: ``oracle`` computes every quantity by enumerating partitions
-(bounded by the enumeration limit), ``closed_form`` uses the recurrence
-table.  ``both`` is accepted by :func:`sweep` and runs the closed form
-plus an oracle cross-check whenever the instance fits under the limit.
+Backends: ``oracle`` computes every quantity by the coin-change oracle in
+:mod:`partx.partitions` (bounded by its limit), ``closed_form`` uses the
+recurrence table.  ``both`` is accepted by :func:`sweep` and runs the
+closed form plus an oracle cross-check whenever the instance fits under
+the limit.
 
 The congruence checks (``ramanujan_p``, ``qk_congruence``) always go
-through the all-residue fast path; their reports carry the residue as
+through the all-residue fast path, so :func:`sweep` accepts only the
+``closed_form`` backend for them; their reports carry the residue as
 both lhs and rhs, and pass exactly when it is 0.
 """
 
@@ -244,7 +246,7 @@ def verify_difference_identity(n: int, backend: str = CLOSED_FORM) -> IdentityRe
 
 # sweep plumbing -------------------------------------------------------------
 
-# identity -> (verifier, takes k, largest argument the oracle must enumerate)
+# identity -> (verifier, takes k, largest argument the oracle must cover)
 _EQUALITY_IDENTITIES = {
     "stanley": (verify_stanley, False, lambda n, k: n),
     "extended_stanley": (verify_extended_stanley, True, lambda n, k: n + k - 1),
@@ -291,6 +293,11 @@ def sweep(
         family is not None or modulus is not None
     ):
         raise ValueError(f"{identity} does not take a family or modulus")
+    if identity in ("ramanujan_p", "qk_congruence") and backend != CLOSED_FORM:
+        raise ValueError(
+            f"{identity} is computed by the residue recurrence only; "
+            "use the closed_form backend"
+        )
 
     if identity == "elder":
         if backend not in (ORACLE, BOTH):

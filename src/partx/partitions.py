@@ -1,9 +1,8 @@
-"""Integer partitions and the brute-force statistics oracle.
+"""Integer partitions, their enumeration, and the definitional statistics oracle.
 
 A partition of n is a nonincreasing sequence of positive integers summing
-to n.  Everything in this module is computed by direct enumeration, which
-makes it the ground truth that the closed-form and series layers are
-tested against.
+to n.  :func:`enumerate_partitions` lists them one by one; it backs the
+partition listings and is the ground truth the oracle is tested against.
 
 The statistics, for a positive integer n:
 
@@ -12,8 +11,16 @@ The statistics, for a positive integer n:
 * Q_k(n)  total number of occurrences of the part k over all partitions
 * R_k(n)  number of partitions containing at least one part equal to k
 
-Enumeration is exponential in n, so it is capped (default n <= 80); the
-closed forms in :mod:`partx.counting` have no such cap.
+:func:`oracle_stats` and :func:`elder_count` count them straight from
+these definitions by coin change: the knapsack over all part sizes gives
+P, and the same knapsack with one part size v left out gives A_v, the
+partitions with no part v.  No pentagonal theorem is involved, which
+makes the oracle an independent route for the closed forms in
+:mod:`partx.counting` and the series in :mod:`partx.series`; this module
+imports neither.
+
+Listings and the oracle are capped (default n <= 80); the closed forms
+have no such cap.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ class Partition:
 
 @dataclass
 class PartitionStats:
-    """Every enumeration statistic of one n, gathered in a single pass.
+    """Every oracle statistic of one n.
 
     The count maps are sparse: only part values that actually occur are
     stored, and the accessors return 0 for anything absent.
@@ -161,68 +168,99 @@ def enumerate_partitions(
         yield Partition._wrap(parts)
 
 
-_stats_cache: dict[int, PartitionStats] = {}
-_elder_cache: dict[int, dict[int, int]] = {}
+class _Oracle:
+    """Coin-change tables for every n up to ``size``, and the statistics read off them.
+
+    ``p[m]`` is P(m), by the knapsack over every part size.  ``avoid[v][m]``
+    is A_v(m), the partitions of m with no part v, by the same knapsack
+    with coin v left out; A_v(n - j*v) therefore counts the partitions of
+    n in which v occurs exactly j times, and every statistic is a sum of
+    those.  Nothing here uses the pentagonal theorem, so the oracle stays
+    independent of :mod:`partx.counting`.  ``stats[n]`` holds the shared,
+    read-only :class:`PartitionStats` of each n.
+    """
+
+    __slots__ = ("size", "p", "avoid", "stats")
+
+    def __init__(self):
+        self.size = 0
+        self.p = [1]
+        self.avoid: list[list[int]] = [[]]
+        self.stats: list[PartitionStats | None] = [None]
+
+    def grow(self, size: int) -> None:
+        """Rebuild the tables to cover 0..size; keep the stats already made."""
+        ways = [1] + [0] * size
+        avoid: list[list[int]] = [[]]  # index 0 unused: parts are positive
+        for v in range(1, size + 1):
+            # ways covers coins 1..v-1 here; A_v adds the coins above v.
+            without = ways[:]
+            for c in range(v + 1, size + 1):
+                for m in range(c, size + 1):
+                    without[m] += without[m - c]
+            avoid.append(without)
+            for m in range(v, size + 1):
+                ways[m] += ways[m - v]
+        self.size, self.p, self.avoid = size, ways, avoid
+        self.stats.extend(self._stats(n) for n in range(len(self.stats), size + 1))
+
+    def _stats(self, n: int) -> PartitionStats:
+        total = self.p[n]
+        occurrences: dict[int, int] = {}
+        containing: dict[int, int] = {}
+        for k in range(1, n + 1):
+            without = self.avoid[k]
+            occurrences[k] = sum(j * without[n - j * k] for j in range(1, n // k + 1))
+            containing[k] = total - without[n]
+        return PartitionStats(
+            n=n,
+            partition_count=total,
+            distinct_member_total=sum(containing.values()),
+            occurrence_counts=occurrences,
+            containing_counts=containing,
+        )
+
+
+# Smallest table the oracle builds, so that a sweep over small n builds once.
+_MIN_ORACLE_SIZE = 32
+
+_oracle = _Oracle()
+
+
+def _oracle_covering(n: int, limit: int) -> _Oracle:
+    # Geometric growth capped at the limit: a sweep over increasing n
+    # rebuilds the tables a logarithmic number of times, not once per n.
+    _check_enumerable(n, limit)
+    if n > _oracle.size:
+        _oracle.grow(min(limit, max(n, 2 * _oracle.size, _MIN_ORACLE_SIZE)))
+    return _oracle
 
 
 def oracle_stats(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PartitionStats:
-    """Compute P(n), S(n) and all Q_k(n), R_k(n) by one enumeration pass.
+    """P(n), S(n) and all Q_k(n), R_k(n), counted from the definitions.
+
+    With A_k(m) the number of partitions of m with no part k:
+
+    * Q_k(n) = sum over j >= 1 of j * A_k(n - j*k)
+    * R_k(n) = P(n) - A_k(n)
+    * S(n)   = sum over k of R_k(n)
 
     Results are memoized per n, since the verification sweeps revisit the
     same n many times.  Treat the returned object as read-only.
     """
-    _check_enumerable(n, limit)
-    cached = _stats_cache.get(n)
-    if cached is not None:
-        return cached
-
-    count = 0
-    distinct_total = 0
-    occurrences: dict[int, int] = {}
-    containing: dict[int, int] = {}
-    mult_hist: dict[int, int] = {}  # multiplicity -> number of (partition, value) runs
-    for parts in _part_tuples(n):
-        count += 1
-        i, size = 0, len(parts)
-        while i < size:
-            v = parts[i]
-            j = i + 1
-            while j < size and parts[j] == v:
-                j += 1
-            m = j - i
-            distinct_total += 1
-            occurrences[v] = occurrences.get(v, 0) + m
-            containing[v] = containing.get(v, 0) + 1
-            mult_hist[m] = mult_hist.get(m, 0) + 1
-            i = j
-
-    stats = PartitionStats(
-        n=n,
-        partition_count=count,
-        distinct_member_total=distinct_total,
-        occurrence_counts=occurrences,
-        containing_counts=containing,
-    )
-    # Elder tallies share the same pass: a run of multiplicity m counts one
-    # occasion for every threshold k <= m, hence a suffix sum over the
-    # multiplicity histogram.
-    elder: dict[int, int] = {}
-    running = 0
-    for m in range(max(mult_hist, default=0), 0, -1):
-        running += mult_hist.get(m, 0)
-        elder[m] = running
-    _stats_cache[n] = stats
-    _elder_cache[n] = elder
-    return stats
+    return _oracle_covering(n, limit).stats[n]
 
 
 def elder_count(n: int, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Occasions on which a part occurs k or more times, over all partitions of n.
 
     A partition with r part values each occurring at least k times
-    contributes r.
+    contributes r.  Counted as the sum over part values v and
+    multiplicities m >= k of A_v(n - m*v).
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    oracle_stats(n, limit)
-    return _elder_cache[n].get(k, 0)
+    avoid = _oracle_covering(n, limit).avoid
+    return sum(
+        avoid[v][n - m * v] for v in range(1, n // k + 1) for m in range(k, n // v + 1)
+    )

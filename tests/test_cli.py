@@ -168,6 +168,19 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ramanujan-p", "--family", "5", "--n", "0..3", "--backend", "oracle"],
+        ["qk-congruence", "--family", "5", "--n", "0..3", "--backend", "both"],
+    ],
+)
+def test_verify_congruence_rejects_other_backends(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "closed_form" in err
+
+
 def test_verify_both_backend(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "lemma2", "--n", "1..10", "--k", "1..5", "--backend", "both"
@@ -252,6 +265,18 @@ def test_count_with_cache_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "count", "20", "--cache", str(path))
     assert code == 0 and out == "627\n"
     assert counting.load_table(path).max_n == 20
+
+
+def test_cache_query_inside_table_leaves_file_untouched(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    run_cli(capsys, "cache", "build", "--max", "30", "--cache", str(path))
+    before = path.stat()
+    for argv in (["count", "20"], ["stats", "9"], ["table", "5", "--kmax", "4"]):
+        code, _, _ = run_cli(capsys, *argv, "--cache", str(path))
+        assert code == 0
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert counting.load_table(path).max_n == 30
 
 
 def test_verify_cache_flag(capsys, tmp_path):

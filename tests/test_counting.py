@@ -157,6 +157,23 @@ def test_save_load_round_trip(tmp_path):
     assert again.read_text() == text
 
 
+class _FailingValue:
+    def __format__(self, spec):
+        raise OSError("no space left on device")
+
+
+def test_failed_save_keeps_old_file(tmp_path):
+    path = tmp_path / "table.txt"
+    save_table(CountTable().extend(10), path)
+    before = path.read_text()
+    broken = CountTable().extend(20)
+    broken._values[15] = _FailingValue()  # the write fails after 15 entries
+    with pytest.raises(OSError, match="no space"):
+        save_table(broken, path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.txt"]
+
+
 def _write(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_text(body)

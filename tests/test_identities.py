@@ -233,6 +233,15 @@ def test_sweep_errors():
         sweep("elder", (1, 10), (1, 5), backend=CLOSED_FORM)
 
 
+@pytest.mark.parametrize("backend", [ORACLE, BOTH, "series"])
+def test_sweep_congruences_take_only_closed_form(backend):
+    with pytest.raises(ValueError, match="residue recurrence only"):
+        sweep("ramanujan_p", (0, 3), family=5, backend=backend)
+    with pytest.raises(ValueError, match="residue recurrence only"):
+        sweep("qk_congruence", (0, 3), family=5, backend=backend)
+    assert sweep("qk_congruence", (0, 3), family=5, backend=CLOSED_FORM).ok
+
+
 def test_sweep_oracle_limit_respects_custom_limit():
     with pytest.raises(ValueError, match="limit"):
         sweep("lemma1", (1, 30), (1, 10), backend=ORACLE, limit=30)

@@ -1,3 +1,7 @@
+import ast
+import inspect
+from collections import Counter
+
 import pytest
 
 from partx import partitions
@@ -125,3 +129,37 @@ def test_stats_cache_returns_same_object():
 
 def test_default_limit_value():
     assert partitions.DEFAULT_ENUMERATION_LIMIT == 80
+
+
+def test_oracle_against_enumeration_ground_truth():
+    # Tallies straight from the listed partitions, never through oracle_stats.
+    for n in range(1, 31):
+        count = distinct = 0
+        occurrences, containing, at_least = Counter(), Counter(), Counter()
+        for part in enumerate_partitions(n):
+            runs = Counter(part.parts)  # part value -> multiplicity
+            count += 1
+            distinct += len(runs)
+            occurrences.update(runs)
+            containing.update(runs.keys())
+            for mult in runs.values():
+                at_least.update(range(1, mult + 1))  # occasions of k or more copies
+        st = oracle_stats(n)
+        assert (st.partition_count, st.distinct_member_total) == (count, distinct), n
+        for k in range(1, n + 2):
+            assert st.occurrences(k) == occurrences[k], (n, k)
+            assert st.containing(k) == containing[k], (n, k)
+            assert elder_count(n, k) == at_least[k], (n, k)
+
+
+def test_partitions_imports_no_other_route():
+    # The oracle must stay independent of the recurrence and the series.
+    tree = ast.parse(inspect.getsource(partitions))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    assert not {name.split(".")[-1] for name in names} & {"counting", "series"}, names
