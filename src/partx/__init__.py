@@ -14,7 +14,6 @@ from .counting import (
     TableFormatError,
     count_containing,
     distinct_members,
-    extend_table,
     load_table,
     occurrence_count,
     partition_count,
@@ -59,7 +58,6 @@ __all__ = [
     "euler_inverse_product",
     "euler_product",
     "euler_product_pow",
-    "extend_table",
     "freshman_dream_check",
     "load_table",
     "occurrence_count",

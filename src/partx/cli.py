@@ -26,7 +26,7 @@ _BACKENDS = {
     "both": identities.BOTH,
 }
 
-_IDENTITY_CHOICES = [name.replace("_", "-") for name in identities.IDENTITY_IDS]
+_IDENTITY_CHOICES = [name.replace("_", "-") for name in identities.SPECS]
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -215,7 +215,7 @@ def _format_params(params: dict) -> str:
 def _cmd_verify(args) -> int:
     identity = args.identity.replace("-", "_")
     if args.backend is None:
-        backend = identities.ORACLE if identity == "elder" else identities.CLOSED_FORM
+        backend = identities.SPECS[identity].default_backend
     else:
         backend = _BACKENDS[args.backend]
     if args.n is None:

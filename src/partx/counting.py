@@ -13,19 +13,43 @@ statistics are finite sums of table entries:
 
 All functions are total: P(0) = 1 and every statistic is 0 for arguments
 below its support, so identity checks near the boundary need no special
-cases.  A parallel table of residues carries the same recurrence mod m for
-congruence sweeps at large n.
+cases.  One kernel runs the recurrence for every table, over pentagonal
+offsets built once and shared; a table of residues passes it a modulus and
+carries the recurrence mod m for congruence sweeps at large n.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from itertools import islice
 
 TABLE_HEADER = "#partition-table v1"
 
 
 class TableFormatError(ValueError):
     """A partition-table file failed structural validation."""
+
+
+# Generalized pentagonal numbers j(3j-1)/2 and j(3j+1)/2, ascending, split by
+# the sign (-1)^(j-1) of their terms in the recurrence.  Every table shares
+# them; they grow on demand and are never rebuilt.
+_PLUS: list[int] = []
+_MINUS: list[int] = []
+
+
+def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None:
+    """Append P(m), reduced mod ``modulus`` if given, for m = len(values)..new_max."""
+    plus, minus = _PLUS, _MINUS
+    j = (len(plus) + len(minus)) // 2
+    while (j * (3 * j + 1)) >> 1 <= new_max:
+        j += 1
+        g = (j * (3 * j - 1)) >> 1
+        (plus if j & 1 else minus).extend((g, g + j))
+    for m in range(len(values), new_max + 1):
+        total = sum([values[m - g] for g in islice(plus, bisect_right(plus, m))])
+        total -= sum([values[m - g] for g in islice(minus, bisect_right(minus, m))])
+        values.append(total if modulus is None else total % modulus)
 
 
 class CountTable:
@@ -57,31 +81,14 @@ class CountTable:
 
     def extend(self, new_max: int) -> "CountTable":
         """Grow the table to cover 0..new_max.  Never shrinks; idempotent."""
-        vals = self._values
-        for m in range(len(vals), new_max + 1):
-            total = 0
-            j = 1
-            while True:
-                g = (j * (3 * j - 1)) >> 1
-                if g > m:
-                    break
-                term = vals[m - g]
-                g2 = g + j
-                if g2 <= m:
-                    term += vals[m - g2]
-                if j & 1:
-                    total += term
-                else:
-                    total -= term
-                j += 1
-            vals.append(total)
+        _extend(self._values, new_max)
         return self
 
 
-class ModCountTable:
-    """The same recurrence carried out entirely in residues mod ``modulus``."""
+class ModCountTable(CountTable):
+    """The same memo with every entry reduced mod ``modulus``."""
 
-    __slots__ = ("modulus", "_values")
+    __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
         if modulus < 2:
@@ -89,39 +96,9 @@ class ModCountTable:
         self.modulus = modulus
         self._values = [1 % modulus]
 
-    @property
-    def max_n(self) -> int:
-        return len(self._values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self._values[n]
-
     def extend(self, new_max: int) -> "ModCountTable":
-        vals = self._values
-        mod = self.modulus
-        for m in range(len(vals), new_max + 1):
-            total = 0
-            j = 1
-            while True:
-                g = (j * (3 * j - 1)) >> 1
-                if g > m:
-                    break
-                term = vals[m - g]
-                g2 = g + j
-                if g2 <= m:
-                    term += vals[m - g2]
-                if j & 1:
-                    total += term
-                else:
-                    total -= term
-                j += 1
-            vals.append(total % mod)
+        _extend(self._values, new_max, self.modulus)
         return self
-
-
-def extend_table(table: CountTable, new_max: int) -> CountTable:
-    """Extend ``table`` to cover 0..new_max (no-op if already covered)."""
-    return table.extend(new_max)
 
 
 _TABLE = CountTable()

@@ -3,13 +3,15 @@
 Each ``verify_*`` function evaluates both sides of one identity instance
 with the requested backend and returns an :class:`IdentityReport`;
 :func:`sweep` runs a verifier over a rectangle of (n, k) values and
-collects every failing report without short-circuiting.
+collects every failing report without short-circuiting.  One table,
+:data:`SPECS`, tells the sweep each identity's arguments, backends and
+oracle span.
 
 Backends: ``oracle`` computes every quantity by the coin-change oracle in
 :mod:`partx.partitions` (bounded by its limit), ``closed_form`` uses the
 recurrence table.  ``both`` is accepted by :func:`sweep` and runs the
 closed form plus an oracle cross-check whenever the instance fits under
-the limit.
+the limit.  ``elder`` has no closed form and runs on the oracle only.
 
 The congruence checks (``ramanujan_p``, ``qk_congruence``) always go
 through the all-residue fast path, so :func:`sweep` accepts only the
@@ -20,6 +22,7 @@ both lhs and rhs, and pass exactly when it is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import counting, partitions
 
@@ -201,7 +204,7 @@ def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport
 
 
 def verify_elder(n: int, k: int) -> IdentityReport:
-    """Occasions a part occurs k or more times == Q_k(n).  Enumeration only."""
+    """Occasions a part occurs k or more times == Q_k(n).  Oracle only."""
     _require_positive(n, "n")
     _require_positive(k, "k")
     lhs = partitions.elder_count(n, k)
@@ -246,18 +249,50 @@ def verify_difference_identity(n: int, backend: str = CLOSED_FORM) -> IdentityRe
 
 # sweep plumbing -------------------------------------------------------------
 
-# identity -> (verifier, takes k, largest argument the oracle must cover)
-_EQUALITY_IDENTITIES = {
-    "stanley": (verify_stanley, False, lambda n, k: n),
-    "extended_stanley": (verify_extended_stanley, True, lambda n, k: n + k - 1),
-    "lemma1": (verify_lemma1, True, lambda n, k: n + k),
-    "lemma2": (verify_lemma2, True, lambda n, k: n + k),
-    "result1": (verify_result1, False, lambda n, k: n),
-    "result2": (verify_result2, True, lambda n, k: n),
-    "difference_identity": (verify_difference_identity, False, lambda n, k: 5 * n + 9),
+
+class Spec(NamedTuple):
+    """How :func:`sweep` runs one identity.
+
+    ``params`` names the verifier's positional arguments in order: ``n`` and
+    ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole sweep.
+    ``backends`` lists what the sweep accepts, the default first; a verifier
+    with a single route takes no backend argument.  ``oracle_span`` maps the
+    verifier's arguments to the largest n the oracle must cover.
+    """
+
+    verifier: Callable[..., IdentityReport]
+    params: tuple[str, ...]
+    backends: tuple[str, ...]
+    oracle_span: Callable[..., int] | None = None
+    family_hint: str = ""
+
+    @property
+    def default_backend(self) -> str:
+        return self.backends[0]
+
+
+_ANY = (CLOSED_FORM, ORACLE, BOTH)
+
+SPECS = {
+    "stanley": Spec(verify_stanley, ("n",), _ANY, lambda n: n),
+    "extended_stanley": Spec(verify_extended_stanley, ("n", "k"), _ANY, lambda n, k: n + k - 1),
+    "lemma1": Spec(verify_lemma1, ("n", "k"), _ANY, lambda n, k: n + k),
+    "lemma2": Spec(verify_lemma2, ("n", "k"), _ANY, lambda n, k: n + k),
+    "result1": Spec(verify_result1, ("n",), _ANY, lambda n: n),
+    "result2": Spec(verify_result2, ("n", "k"), _ANY, lambda n, k: n),
+    "difference_identity": Spec(verify_difference_identity, ("n",), _ANY, lambda n: 5 * n + 9),
+    "elder": Spec(verify_elder, ("n", "k"), (ORACLE,), lambda n, k: n),
+    "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), (CLOSED_FORM,),
+                        family_hint="(5, 7 or 11)"),
+    "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), (CLOSED_FORM,),
+                          family_hint="(the part k)"),
 }
 
-IDENTITY_IDS = tuple(_EQUALITY_IDENTITIES) + ("elder", "ramanujan_p", "qk_congruence")
+# Why an identity with a single route rejects every other backend.
+_SOLE_BACKEND = {
+    CLOSED_FORM: "is computed by the residue recurrence only; use the closed_form backend",
+    ORACLE: "has no closed form; use the oracle backend",
+}
 
 
 def _check_range(rng, name) -> tuple[int, int]:
@@ -282,106 +317,66 @@ def sweep(
     """Run one verifier over the whole range, collecting every failure.
 
     Reports are generated in (n, k) order and the sweep never stops early,
-    so the failure list is complete and deterministic.
+    so the failure list is complete and deterministic.  With the ``both``
+    backend each instance runs the closed form, plus the oracle whenever
+    the instance fits under ``limit``.
     """
     n_lo, n_hi = _check_range(n_range, "n")
-    desc_parts = []
+    spec = SPECS.get(identity)
+    if spec is None:
+        raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
+    if backend not in spec.backends:
+        if len(spec.backends) == 1:
+            raise ValueError(f"{identity} {_SOLE_BACKEND[spec.default_backend]}")
+        raise ValueError(f"unknown backend {backend!r}")
+
+    fixed = {}  # the verifier's leading arguments, the same for every instance
+    if "family" not in spec.params:
+        if family is not None or modulus is not None:
+            raise ValueError(f"{identity} does not take a family or modulus")
+    elif family is None:
+        raise ValueError(f"{identity} needs a family {spec.family_hint}")
+    elif "mod" in spec.params:
+        fixed = {"family": family, "mod": family if modulus is None else modulus}
+    elif modulus in (None, family):
+        fixed = {"family": family}
+    else:
+        raise ValueError(f"{identity} checks mod the family itself")
+    desc_parts = [f"{name}={value}" for name, value in fixed.items()] + [f"n={n_lo}..{n_hi}"]
+    k_tails = [()]
+    if "k" in spec.params:
+        if k_range is None:
+            raise ValueError(f"{identity} needs a k range")
+        k_lo, k_hi = _check_range(k_range, "k")
+        desc_parts.append(f"k={k_lo}..{k_hi}")
+        k_tails = [(k,) for k in range(k_lo, k_hi + 1)]
+    elif k_range is not None:
+        raise ValueError(f"{identity} does not take a k range")
+
+    lead = tuple(fixed.values())
+    span = spec.oracle_span
+    if backend == ORACLE and (top := span(*lead, n_hi, *k_tails[-1])) > limit:
+        hint = "; use the closed_form backend" if CLOSED_FORM in spec.backends else ""
+        raise ValueError(
+            f"{identity} needs the oracle up to n={top}, beyond its limit of {limit}{hint}"
+        )
+    # Keyword arguments of the verifier calls for one instance.
+    if len(spec.backends) == 1:
+        single = ({},)  # the verifier's one route is built in
+    else:
+        single = ({"backend": CLOSED_FORM if backend == BOTH else backend},)
+    crossed = single + ({"backend": ORACLE},) if backend == BOTH else None
+
+    verifier = spec.verifier
     failures: list[IdentityReport] = []
     total = 0
-
-    if identity in ("elder",) + tuple(_EQUALITY_IDENTITIES) and (
-        family is not None or modulus is not None
-    ):
-        raise ValueError(f"{identity} does not take a family or modulus")
-    if identity in ("ramanujan_p", "qk_congruence") and backend != CLOSED_FORM:
-        raise ValueError(
-            f"{identity} is computed by the residue recurrence only; "
-            "use the closed_form backend"
-        )
-
-    if identity == "elder":
-        if backend not in (ORACLE, BOTH):
-            raise ValueError("elder has no closed form; use the oracle backend")
-        if k_range is None:
-            raise ValueError("elder needs a k range")
-        k_lo, k_hi = _check_range(k_range, "k")
-        if n_lo < 1:
-            raise ValueError(f"n must be positive for elder, got {n_lo}")
-        if n_hi > limit:
-            raise ValueError(
-                f"elder needs enumeration up to n={n_hi}, beyond the limit of {limit}"
-            )
-        desc_parts = [f"n={n_lo}..{n_hi}", f"k={k_lo}..{k_hi}"]
-        for n in range(n_lo, n_hi + 1):
-            for k in range(k_lo, k_hi + 1):
-                total += 1
-                report = verify_elder(n, k)
+    for n in range(n_lo, n_hi + 1):
+        head = (*lead, n)
+        for tail in k_tails:
+            args = head + tail
+            total += 1
+            for kwargs in crossed if crossed and span(*args) <= limit else single:
+                report = verifier(*args, **kwargs)
                 if not report.passed:
                     failures.append(report)
-
-    elif identity == "ramanujan_p":
-        if family is None:
-            raise ValueError("ramanujan_p needs a family (5, 7 or 11)")
-        if k_range is not None:
-            raise ValueError("ramanujan_p does not take a k range")
-        if modulus is not None and modulus != family:
-            raise ValueError("ramanujan_p checks mod the family itself")
-        desc_parts = [f"family={family}", f"n={n_lo}..{n_hi}"]
-        for n in range(n_lo, n_hi + 1):
-            total += 1
-            report = verify_ramanujan_p(family, n)
-            if not report.passed:
-                failures.append(report)
-
-    elif identity == "qk_congruence":
-        if family is None:
-            raise ValueError("qk_congruence needs a family (the part k)")
-        if k_range is not None:
-            raise ValueError("qk_congruence does not take a k range")
-        mod = modulus if modulus is not None else family
-        desc_parts = [f"family={family}", f"mod={mod}", f"n={n_lo}..{n_hi}"]
-        for n in range(n_lo, n_hi + 1):
-            total += 1
-            report = verify_qk_congruence(family, mod, n)
-            if not report.passed:
-                failures.append(report)
-
-    elif identity in _EQUALITY_IDENTITIES:
-        verifier, takes_k, oracle_span = _EQUALITY_IDENTITIES[identity]
-        if takes_k:
-            if k_range is None:
-                raise ValueError(f"{identity} needs a k range")
-            k_lo, k_hi = _check_range(k_range, "k")
-            desc_parts = [f"n={n_lo}..{n_hi}", f"k={k_lo}..{k_hi}"]
-        else:
-            if k_range is not None:
-                raise ValueError(f"{identity} does not take a k range")
-            k_lo = k_hi = 1
-            desc_parts = [f"n={n_lo}..{n_hi}"]
-        if backend == ORACLE and oracle_span(n_hi, k_hi) > limit:
-            raise ValueError(
-                f"{identity} with the oracle backend needs enumeration up to "
-                f"n={oracle_span(n_hi, k_hi)}, beyond the limit of {limit}; "
-                "use the closed_form backend"
-            )
-        if backend != BOTH:
-            _check_backend(backend)
-        for n in range(n_lo, n_hi + 1):
-            for k in range(k_lo, k_hi + 1):
-                total += 1
-                args = (n, k) if takes_k else (n,)
-                if backend == BOTH:
-                    instance_backends = [CLOSED_FORM]
-                    if oracle_span(n, k) <= limit:
-                        instance_backends.append(ORACLE)
-                else:
-                    instance_backends = [backend]
-                for b in instance_backends:
-                    report = verifier(*args, backend=b)
-                    if not report.passed:
-                        failures.append(report)
-
-    else:
-        raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
-
     return SweepResult(identity, ", ".join(desc_parts), total, failures)

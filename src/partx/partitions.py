@@ -131,7 +131,7 @@ def _check_enumerable(n: int, limit: int) -> None:
         raise ValueError(f"partitions are enumerated for n >= 1, got n={n}")
     if n > limit:
         raise ValueError(
-            f"enumeration of n={n} exceeds the limit of {limit}; "
+            f"n={n} is beyond the limit of {limit} for the oracle and listings; "
             "use the closed forms in partx.counting instead"
         )
 

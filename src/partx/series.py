@@ -187,15 +187,6 @@ class PowerSeries:
         return PowerSeries._make([c % modulus for c in self.coeffs], modulus)
 
 
-def mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the common truncation degree."""
-    return a * b
-
-
-def inverse(a: PowerSeries) -> PowerSeries:
-    return a.inverse()
-
-
 def euler_product(trunc: int, modulus: int | None = None) -> PowerSeries:
     """prod_{n>=1} (1 - x^n) through degree ``trunc``.
 

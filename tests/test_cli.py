@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +183,15 @@ def test_verify_congruence_rejects_other_backends(capsys, argv):
     assert "closed_form" in err
 
 
+@pytest.mark.parametrize("backend", ["both", "closed"])
+def test_verify_elder_rejects_closed_backends(capsys, backend):
+    code, out, err = run_cli(
+        capsys, "verify", "elder", "--n", "1..5", "--k", "1..3", "--backend", backend
+    )
+    assert code == 2 and out == ""
+    assert "elder has no closed form; use the oracle backend" in err
+
+
 def test_verify_both_backend(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "lemma2", "--n", "1..10", "--k", "1..5", "--backend", "both"
@@ -308,3 +319,41 @@ def test_help_exits_zero(capsys):
 def test_negative_count_is_total(capsys):
     code, out, _ = run_cli(capsys, "count", "-3")
     assert code == 0 and out == "0\n"
+
+
+# Every command under "Command line" in README, with the exit code and the
+# sha256 of the stdout it gives; a refactor must leave each one unchanged.
+README_COMMANDS = [
+    ("count 10", 0, "084c799cd551dd1d8d5c5f9a5d593b2e931f5e36122ee5c793c1d08a19839cc0"),
+    ("stats 4", 0, "8bada6eaf3eb7f738f9985198658cc342810b12b1f082b413f9b9af27d719445"),
+    ("table 4 --kmax 4", 0, "0cd80f349dce6349575e563465f1934ae1341d5d26423154274773a3b89b5ca2"),
+    ("verify extended-stanley --n 1..30 --k 1..10 --json", 0,
+     "940d91c622416b9f69e63bcb7d44e4ccc06e244f8d33480ddda4b48f7ffcf0a2"),
+    ("verify qk-congruence --family 5 --n 0..400", 0,
+     "d37b7dc55bd62dfd9ae62e1b24647b219a789fd4b82a35d354d6a25bd421b108"),
+    ("series f --trunc 60 --mod 5", 0,
+     "325517b05636e503eb3f31c4163b9593cb7951e9e1a57da686711400c7f94510"),
+    ("series gk --k 5 --trunc 50", 0,
+     "7a3232bb24b3d4be4f2b983a8428b95e8c8bb094f7e28d17e13edef37dd550c0"),
+    ("series euler4 --trunc 20", 0,
+     "4cb35fca89a0e8938e01e4d56932b3e64ab377de2d4f52afa42ef7988bf71b8d"),
+    ("series double-sum --trunc 200", 0,
+     "3d85680708ef0dbf1a61b3dc5c53d8a267ad2ce56de1f2f499ff458559a6b222"),
+    ("cache build --max 10000 --cache p.txt", 0,
+     "a6180c9701340b9b76ec62a50c03171cf7acf844d2f036c9f6fddac9bd863ce6"),
+    ("cache check --cache p.txt", 0,
+     "437023e4528e6cd6eaaf1f2ee901a4faa7504bb6b9e0aedde8956d3cbcbb4fde"),
+]
+
+
+def test_readme_commands_output_pinned(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("#")[0].split(None, 1)[1].strip()
+              for line in section.splitlines() if line.startswith("partx ")]
+    assert listed == [command for command, _, _ in README_COMMANDS]
+    monkeypatch.chdir(tmp_path)  # the cache pair writes p.txt
+    for command, expected_code, digest in README_COMMANDS:
+        code = cli.run(command.split())
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, digest), command

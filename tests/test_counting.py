@@ -7,7 +7,6 @@ from partx.counting import (
     consistency_check,
     count_containing,
     distinct_members,
-    extend_table,
     load_table,
     occurrence_count,
     occurrence_count_mod,
@@ -87,9 +86,25 @@ def test_distinct_members_telescopes():
 
 
 @pytest.mark.parametrize("modulus", [5, 7, 11, 25, 125])
-def test_modular_consistency(modulus):
+def test_modular_consistency(modulus, monkeypatch):
     for n in range(501):
         assert partition_count_mod(n, modulus) == partition_count(n) % modulus
+    # Two fresh tables grown in uneven, interleaved steps to different
+    # heights, starting from empty shared pentagonal offsets.
+    monkeypatch.setattr(counting, "_PLUS", [])
+    monkeypatch.setattr(counting, "_MINUS", [])
+    tall, short = counting.ModCountTable(modulus), counting.ModCountTable(modulus)
+    steps = [1, 2, 5, 13, 34, 89, 233]
+    tall_top = short_top = 0
+    for i in range(200):
+        tall_top = min(5000, tall_top + steps[i % 7])
+        short_top = min(3001, short_top + steps[(i + 3) % 7])
+        tall.extend(tall_top)
+        short.extend(short_top)
+    assert (tall.max_n, short.max_n) == (5000, 3001)
+    expected = [partition_count(n) % modulus for n in range(5001)]
+    assert [tall[n] for n in range(5001)] == expected
+    assert [short[n] for n in range(3002)] == expected[:3002]
 
 
 def test_partition_count_mod_examples():
@@ -115,14 +130,14 @@ def test_occurrence_count_mod():
 def test_extend_table():
     table = CountTable()
     assert table.max_n == 0
-    extend_table(table, 4)
+    table.extend(4)
     assert table.values == [1, 1, 2, 3, 5]
     snapshot = table.values
-    extend_table(table, 4)  # idempotent
+    table.extend(4)  # idempotent
     assert table.values == snapshot
-    extend_table(table, 2)  # never shrinks
+    table.extend(2)  # never shrinks
     assert table.values == snapshot
-    extend_table(table, 10)
+    table.extend(10)
     assert table.values[:5] == snapshot  # old entries unchanged
     assert table[10] == 42
     assert len(table) == 11

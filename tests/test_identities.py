@@ -227,10 +227,12 @@ def test_sweep_errors():
         sweep("ramanujan_p", (0, 5))
     with pytest.raises(ValueError, match="family or modulus"):
         sweep("lemma1", (1, 5), (1, 2), family=5)
-    with pytest.raises(ValueError, match="enumeration"):
+    with pytest.raises(ValueError, match="needs the oracle up to n=200, beyond its limit"):
         sweep("stanley", (1, 200), backend=ORACLE)
     with pytest.raises(ValueError, match="closed form"):
         sweep("elder", (1, 10), (1, 5), backend=CLOSED_FORM)
+    with pytest.raises(ValueError, match="elder has no closed form; use the oracle backend"):
+        sweep("elder", (1, 5), (1, 3), backend=BOTH)
 
 
 @pytest.mark.parametrize("backend", [ORACLE, BOTH, "series"])
