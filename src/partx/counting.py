@@ -14,8 +14,10 @@ statistics are finite sums of table entries:
 All functions are total: P(0) = 1 and every statistic is 0 for arguments
 below its support, so identity checks near the boundary need no special
 cases.  One kernel runs the recurrence for every table, over pentagonal
-offsets built once and shared; a table of residues passes it a modulus and
-carries the recurrence mod m for congruence sweeps at large n.
+offsets built once, shared, and stored negated so that each term is read
+from the end of the growing table; a table of residues passes it a modulus
+and carries the recurrence mod m for congruence sweeps at large n.  S and
+Q_k are sums over slices of a table grown once to their largest argument.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from itertools import islice
+from operator import neg
 
 TABLE_HEADER = "#partition-table v1"
 
@@ -32,8 +35,9 @@ class TableFormatError(ValueError):
 
 
 # Generalized pentagonal numbers j(3j-1)/2 and j(3j+1)/2, ascending, split by
-# the sign (-1)^(j-1) of their terms in the recurrence.  Every table shares
-# them; they grow on demand and are never rebuilt.
+# the sign (-1)^(j-1) of their terms in the recurrence and stored negated:
+# while P(m) is computed len(values) == m, so values[-g] is P(m - g).  Every
+# table shares them; they grow on demand and are never rebuilt.
 _PLUS: list[int] = []
 _MINUS: list[int] = []
 
@@ -45,10 +49,11 @@ def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None
     while (j * (3 * j + 1)) >> 1 <= new_max:
         j += 1
         g = (j * (3 * j - 1)) >> 1
-        (plus if j & 1 else minus).extend((g, g + j))
+        (plus if j & 1 else minus).extend((-g, -g - j))
+    at = values.__getitem__
     for m in range(len(values), new_max + 1):
-        total = sum([values[m - g] for g in islice(plus, bisect_right(plus, m))])
-        total -= sum([values[m - g] for g in islice(minus, bisect_right(minus, m))])
+        total = sum(map(at, islice(plus, bisect_right(plus, m, key=neg))))
+        total -= sum(map(at, islice(minus, bisect_right(minus, m, key=neg))))
         values.append(total if modulus is None else total % modulus)
 
 
@@ -140,14 +145,11 @@ def occurrence_count(k: int, n: int, table: CountTable | None = None) -> int:
     """Q_k(n): total occurrences of the part k over all partitions of n."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    if n >= k:
-        partition_count(n - k, table)  # one extension instead of many
-    total = 0
-    j = 1
-    while n - j * k >= 0:
-        total += partition_count(n - j * k, table)
-        j += 1
-    return total
+    if n < k:
+        return 0
+    t = _TABLE if table is None else table
+    partition_count(n - k, t)  # one extension covers every term
+    return sum(t._values[n - k::-k])
 
 
 def occurrence_count_mod(k: int, n: int, modulus: int) -> int:
@@ -156,20 +158,19 @@ def occurrence_count_mod(k: int, n: int, modulus: int) -> int:
         raise ValueError(f"k must be a positive integer, got k={k}")
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    total = 0
-    j = 1
-    while n - j * k >= 0:
-        total += partition_count_mod(n - j * k, modulus)
-        j += 1
-    return total % modulus
+    if n < k:
+        return 0
+    partition_count_mod(n - k, modulus)  # one extension covers every term
+    return sum(_MOD_TABLES[modulus]._values[n - k::-k]) % modulus
 
 
 def distinct_members(n: int, table: CountTable | None = None) -> int:
     """S(n): distinct part values summed over all partitions of n."""
     if n < 1:
         return 0
-    partition_count(n - 1, table)
-    return sum(partition_count(i, table) for i in range(n))
+    t = _TABLE if table is None else table
+    partition_count(n - 1, t)
+    return sum(t._values[:n])
 
 
 def consistency_check(table: CountTable) -> list[int]:

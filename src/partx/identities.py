@@ -309,7 +309,7 @@ def sweep(
     identity: str,
     n_range: tuple[int, int],
     k_range: tuple[int, int] | None = None,
-    backend: str = CLOSED_FORM,
+    backend: str | None = None,
     family: int | None = None,
     modulus: int | None = None,
     limit: int = partitions.DEFAULT_ENUMERATION_LIMIT,
@@ -317,14 +317,17 @@ def sweep(
     """Run one verifier over the whole range, collecting every failure.
 
     Reports are generated in (n, k) order and the sweep never stops early,
-    so the failure list is complete and deterministic.  With the ``both``
-    backend each instance runs the closed form, plus the oracle whenever
-    the instance fits under ``limit``.
+    so the failure list is complete and deterministic.  ``backend`` defaults
+    to the identity's own (``SPECS[identity].default_backend``).  With the
+    ``both`` backend each instance runs the closed form, plus the oracle
+    whenever the instance fits under ``limit``.
     """
     n_lo, n_hi = _check_range(n_range, "n")
     spec = SPECS.get(identity)
     if spec is None:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
+    if backend is None:
+        backend = spec.default_backend
     if backend not in spec.backends:
         if len(spec.backends) == 1:
             raise ValueError(f"{identity} {_SOLE_BACKEND[spec.default_backend]}")

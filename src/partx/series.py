@@ -3,8 +3,10 @@
 Coefficients live in the integers (``modulus=None``) or in the integers
 mod m.  A series of truncation degree N stores coefficients for x^0..x^N;
 every operation is exact through degree N and drops anything above it.
-Multiplication is schoolbook, inversion uses the standard recurrence
-b_0 = 1/a_0, b_i = -(1/a_0) * sum_{j=1..i} a_j b_{i-j}.
+Multiplication is schoolbook over the nonzero terms of both factors only,
+and inversion uses the standard recurrence
+b_0 = 1/a_0, b_i = -(1/a_0) * sum_{j=1..i} a_j b_{i-j}, summed over the
+nonzero a_j only.
 
 The named constructors build the partition generating series: the Euler
 product prod_{n>=1} (1 - x^n), its inverse (whose coefficients are P(m)),
@@ -14,6 +16,9 @@ the shifted two-index expansion of x * (Euler product)^4.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import itemgetter, mul, neg, sub
 from typing import Iterable
 
 SERIES_HEADER = "#series v1"
@@ -109,15 +114,12 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_compat(other)
-        a, b = self.coeffs, other.coeffs
-        size = len(a)
+        size = len(self.coeffs)
+        terms = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]  # ascending in j
         out = [0] * size
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(size - i):
-                bj = b[j]
-                if bj:
+        for i, ai in enumerate(self.coeffs):
+            if ai:
+                for j, bj in islice(terms, bisect_left(terms, size - i, key=itemgetter(0))):
                     out[i + j] += ai * bj
         return self._reduce(out)
 
@@ -153,17 +155,16 @@ class PowerSeries:
                 raise ValueError(
                     f"constant term {a0} is not invertible mod {m}"
                 ) from None
-        size = len(a)
-        b = [0] * size
-        b[0] = inv0 % m if m is not None else inv0
-        for i in range(1, size):
-            acc = 0
-            for j in range(1, i + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * b[i - j]
-            v = -inv0 * acc
-            b[i] = v % m if m is not None else v
+        # The nonzero a_j, j >= 1, by negated degree: while b_i is computed
+        # len(b) == i, so b[-j] is b_{i-j}.
+        offsets = [-j for j in range(1, len(a)) if a[j]]
+        weights = [a[-g] for g in offsets]
+        b = [inv0 % m if m is not None else inv0]
+        at = b.__getitem__
+        for i in range(1, len(a)):
+            used = bisect_right(offsets, i, key=neg)
+            v = -inv0 * sum(map(mul, islice(weights, used), map(at, islice(offsets, used))))
+            b.append(v % m if m is not None else v)
         return PowerSeries._make(b, m)
 
     def shifted(self, degree: int) -> "PowerSeries":
@@ -197,9 +198,8 @@ def euler_product(trunc: int, modulus: int | None = None) -> PowerSeries:
         raise ValueError(f"trunc must be nonnegative, got {trunc}")
     c = [0] * (trunc + 1)
     c[0] = 1
-    for n in range(1, trunc + 1):
-        for d in range(trunc, n - 1, -1):  # descending keeps the old c[d-n]
-            c[d] -= c[d - n]
+    for n in range(1, trunc + 1):  # times (1 - x^n): c[d] -= old c[d - n]
+        c[n:] = map(sub, c[n:], c[: trunc + 1 - n])
     if modulus is not None:
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")

@@ -34,6 +34,8 @@ def test_partition_count_against_enumeration():
 
 def test_partition_count_classical_anchor():
     assert partition_count(100) == 190569292
+    assert partition_count(200) == 3972999029388
+    assert partition_count(1000) == 24061467864032622473692149727991
 
 
 def test_count_containing():
@@ -105,6 +107,35 @@ def test_modular_consistency(modulus, monkeypatch):
     expected = [partition_count(n) % modulus for n in range(5001)]
     assert [tall[n] for n in range(5001)] == expected
     assert [short[n] for n in range(3002)] == expected[:3002]
+
+
+# Arguments for the slice-sum checks: every n up to 60, then a spread to 400.
+SLICE_NS = list(range(61)) + list(range(61, 400, 13)) + [400]
+
+
+def per_term(p, n, k):
+    """Q_k(n) as the sum of p[n - j*k] over j >= 1."""
+    return sum(p[n - j * k] for j in range(1, n // k + 1))
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_statistics_equal_per_term_sums(explicit):
+    table = CountTable() if explicit else None
+    p = [partition_count(i) for i in range(401)]
+    for n in SLICE_NS:
+        assert distinct_members(n, table) == sum(p[:n]), n
+        for k in range(1, n + 3):  # n < k and n == k included
+            assert occurrence_count(k, n, table) == per_term(p, n, k), (n, k)
+    if explicit:
+        assert table.max_n == 399  # the largest argument needed, P(400 - 1)
+
+
+@pytest.mark.parametrize("modulus", [5, 7, 11, 25, 125])
+def test_occurrence_count_mod_equals_per_term_sums(modulus):
+    p = [partition_count(i) for i in range(401)]
+    for n in SLICE_NS:
+        for k in range(1, n + 3):
+            assert occurrence_count_mod(k, n, modulus) == per_term(p, n, k) % modulus, (n, k)
 
 
 def test_partition_count_mod_examples():

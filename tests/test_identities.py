@@ -214,6 +214,25 @@ def test_sweep_elder():
     assert result.ok
 
 
+def test_sweep_defaults_to_the_identity_backend(monkeypatch):
+    elder_calls = []
+    real_elder = partitions.elder_count
+    monkeypatch.setattr(
+        partitions, "elder_count", lambda n, k: elder_calls.append((n, k)) or real_elder(n, k)
+    )
+    result = sweep("elder", (1, 5), (1, 3))
+    assert elder_calls == [(n, k) for n in range(1, 6) for k in range(1, 4)]
+    assert result.total_checked == 15 and result.ok
+    assert result == sweep("elder", (1, 5), (1, 3), backend=ORACLE)
+
+    def no_oracle(*args):
+        raise AssertionError("the closed-form default ran the oracle")
+
+    monkeypatch.setattr(partitions, "oracle_stats", no_oracle)
+    assert sweep("lemma1", (1, 6), (1, 4)) == sweep("lemma1", (1, 6), (1, 4), backend=CLOSED_FORM)
+    assert sweep("ramanujan_p", (0, 5), family=7).ok
+
+
 def test_sweep_errors():
     with pytest.raises(ValueError, match="unknown identity"):
         sweep("nonsense", (1, 5))

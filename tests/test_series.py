@@ -1,4 +1,11 @@
+import ast
+import inspect
+from math import gcd
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partx import counting, series
 from partx.series import (
@@ -23,12 +30,48 @@ def naive_mul(a, b, trunc):
 
 
 def naive_euler_product(trunc):
-    acc = [1]
+    """prod (1 - x^n), one factor at a time into a fresh list."""
+    acc = [1] + [0] * trunc
     for n in range(1, trunc + 1):
-        factor = [0] * (n + 1)
-        factor[0], factor[n] = 1, -1
-        acc = naive_mul(acc, factor, trunc)
+        acc = [acc[d] - (acc[d - n] if d >= n else 0) for d in range(trunc + 1)]
     return acc
+
+
+def naive_inverse(a, modulus):
+    """Dense reference: b_0 = 1/a_0, b_i = -(1/a_0) * sum_{j=1..i} a_j b_{i-j}."""
+    inv0 = a[0] if modulus is None else pow(a[0], -1, modulus)
+    b = [inv0]
+    for i in range(1, len(a)):
+        b.append(-inv0 * sum(a[j] * b[i - j] for j in range(1, i + 1)))
+        if modulus is not None:
+            b[i] %= modulus
+    return b
+
+
+def reduced(values, modulus):
+    return list(values) if modulus is None else [v % modulus for v in values]
+
+
+@st.composite
+def series_tuples(draw, count, unit=False):
+    """A ring (None for Z, else Z/m, m in 2..30) and ``count`` coefficient lists
+    of one length, each with its own share of zeros at random places; with
+    ``unit`` each constant term is a unit of the ring."""
+    modulus = draw(st.none() | st.integers(2, 30))
+    size = draw(st.integers(1, 41))
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))  # places and values of the coefficients
+    if modulus is None:
+        units = [1, -1]
+    else:
+        units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    lists = []
+    for _ in range(count):
+        zeros = draw(st.integers(0, 10)) / 10  # 0: dense, 1: all zero
+        coeffs = [0 if rnd.random() < zeros else rnd.randint(-10**6, 10**6) for _ in range(size)]
+        if unit:
+            coeffs[0] = draw(st.sampled_from(units))
+        lists.append(coeffs)
+    return modulus, lists
 
 
 def test_mul_geometric_inverse():
@@ -89,8 +132,10 @@ def test_pentagonal_series_inverts_to_partition_counts():
 
 
 def test_euler_product_matches_naive_expansion():
-    trunc = 40
-    assert list(euler_product(trunc).coeffs) == naive_euler_product(trunc)
+    trunc = 300
+    expected = naive_euler_product(trunc)
+    assert list(euler_product(trunc).coeffs) == expected
+    assert list(euler_product(trunc, modulus=7).coeffs) == [c % 7 for c in expected]
 
 
 def test_euler_product_pentagonal_pattern():
@@ -254,3 +299,44 @@ def test_immutability_and_equality():
     assert s == PowerSeries((1, 2, 3))
     assert s != PowerSeries([1, 2, 3], modulus=5)
     assert hash(s) == hash(PowerSeries([1, 2, 3]))
+
+
+@settings(deadline=None)
+@given(series_tuples(2))
+def test_mul_matches_schoolbook(case):
+    modulus, (a, b) = case
+    product = PowerSeries(a, modulus) * PowerSeries(b, modulus)
+    assert list(product.coeffs) == reduced(naive_mul(a, b, len(a) - 1), modulus)
+
+
+@settings(deadline=None)
+@given(series_tuples(1, unit=True))
+def test_inverse_matches_schoolbook(case):
+    modulus, (a,) = case
+    s = PowerSeries(a, modulus)
+    assert list(s.inverse().coeffs) == naive_inverse(list(s.coeffs), modulus)
+    assert s * s.inverse() == PowerSeries.one(s.trunc, modulus)
+
+
+@settings(deadline=None)
+@given(series_tuples(3))
+def test_ring_laws(case):
+    modulus, coeffs = case
+    a, b, c = (PowerSeries(x, modulus) for x in coeffs)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * PowerSeries.one(a.trunc, modulus) == a
+
+
+def test_series_imports_no_other_route():
+    # The series route must stay independent of the recurrence and the oracle.
+    tree = ast.parse(inspect.getsource(series))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    assert not {name.split(".")[-1] for name in names} & {"counting", "partitions"}, names
