@@ -9,9 +9,6 @@ verification or consistency check failed, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
@@ -43,15 +40,17 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return bounds
 
 
+# json and csv are imported on use: most runs print neither, and imports slow start-up.
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
 def _emit_csv(rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    import csv
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _load_cache(args) -> tuple[CountTable | None, int, int | None]:

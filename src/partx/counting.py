@@ -18,6 +18,9 @@ offsets built once, shared, and stored negated so that each term is read
 from the end of the growing table; a table of residues passes it a modulus
 and carries the recurrence mod m for congruence sweeps at large n.  S and
 Q_k are sums over slices of a table grown once to their largest argument.
+Residue tables are served by the same statistic functions:
+``partition_count_mod`` and ``occurrence_count_mod`` run ``partition_count``
+and ``occurrence_count`` on one shared table per modulus.
 """
 
 from __future__ import annotations
@@ -120,18 +123,17 @@ def partition_count(n: int, table: CountTable | None = None) -> int:
     return t[n]
 
 
-def partition_count_mod(n: int, modulus: int) -> int:
-    """P(n) mod modulus via the all-residue recurrence."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if n < 0:
-        return 0
+def _mod_table(modulus: int) -> ModCountTable:
+    # ModCountTable rejects a bad modulus before anything is stored.
     t = _MOD_TABLES.get(modulus)
     if t is None:
         t = _MOD_TABLES[modulus] = ModCountTable(modulus)
-    if n > t.max_n:
-        t.extend(n)
-    return t[n]
+    return t
+
+
+def partition_count_mod(n: int, modulus: int) -> int:
+    """P(n) mod modulus via the all-residue recurrence."""
+    return partition_count(n, _mod_table(modulus))
 
 
 def count_containing(k: int, n: int, table: CountTable | None = None) -> int:
@@ -154,14 +156,7 @@ def occurrence_count(k: int, n: int, table: CountTable | None = None) -> int:
 
 def occurrence_count_mod(k: int, n: int, modulus: int) -> int:
     """Q_k(n) mod modulus, summed entirely in residues."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got k={k}")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if n < k:
-        return 0
-    partition_count_mod(n - k, modulus)  # one extension covers every term
-    return sum(_MOD_TABLES[modulus]._values[n - k::-k]) % modulus
+    return occurrence_count(k, n, _mod_table(modulus)) % modulus
 
 
 def distinct_members(n: int, table: CountTable | None = None) -> int:

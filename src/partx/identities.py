@@ -21,7 +21,6 @@ both lhs and rhs, and pass exactly when it is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import counting, partitions
@@ -42,8 +41,7 @@ QK_CONGRUENCES = {
 }
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     params: dict[str, int]
     lhs: int
@@ -52,22 +50,14 @@ class IdentityReport:
     backend: str
 
     def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "backend": self.backend,
-        }
+        return self._asdict()
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     identity: str
     range_description: str
     total_checked: int
-    failures: list[IdentityReport] = field(default_factory=list)
+    failures: list[IdentityReport]
 
     @property
     def ok(self) -> bool:

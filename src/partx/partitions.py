@@ -25,8 +25,7 @@ have no such cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 DEFAULT_ENUMERATION_LIMIT = 80
 
@@ -103,8 +102,7 @@ class Partition:
         return f"Partition({list(self.parts)!r})"
 
 
-@dataclass
-class PartitionStats:
+class PartitionStats(NamedTuple):
     """Every oracle statistic of one n.
 
     The count maps are sparse: only part values that actually occur are

@@ -196,13 +196,13 @@ def euler_product(trunc: int, modulus: int | None = None) -> PowerSeries:
     """
     if trunc < 0:
         raise ValueError(f"trunc must be nonnegative, got {trunc}")
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
     c = [0] * (trunc + 1)
     c[0] = 1
     for n in range(1, trunc + 1):  # times (1 - x^n): c[d] -= old c[d - n]
         c[n:] = map(sub, c[n:], c[: trunc + 1 - n])
     if modulus is not None:
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
         c = [v % modulus for v in c]
     return PowerSeries._make(c, modulus)
 

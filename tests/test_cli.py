@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,6 +322,17 @@ def test_help_exits_zero(capsys):
 def test_negative_count_is_total(capsys):
     code, out, _ = run_cli(capsys, "count", "-3")
     assert code == 0 and out == "0\n"
+
+
+def test_cli_import_skips_unused_modules():
+    # A fresh interpreter: pytest itself has loaded every module checked here.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = ("import sys, partx.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'json', 'csv') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 # Every command under "Command line" in README, with the exit code and the

@@ -147,15 +147,24 @@ def test_partition_count_mod_examples():
 
 @pytest.mark.parametrize("modulus", [1, 0, -3])
 def test_partition_count_mod_rejects_small_modulus(modulus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
         partition_count_mod(10, modulus)
+    # the modulus is checked before the n < 0 shortcut
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        partition_count_mod(-5, modulus)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        occurrence_count_mod(5, 10, modulus)
+    assert modulus not in counting._MOD_TABLES
 
 
 def test_occurrence_count_mod():
     for n in (14, 24, 49):
         assert occurrence_count_mod(5, n, 25) == occurrence_count(5, n) % 25
-    with pytest.raises(ValueError):
+    assert occurrence_count_mod(5, 4, 7) == 0  # n < k
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
         occurrence_count_mod(5, 10, 1)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        occurrence_count_mod(0, 10, 7)
 
 
 def test_extend_table():

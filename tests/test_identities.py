@@ -164,6 +164,21 @@ def test_report_as_dict():
         "passed": True,
         "backend": CLOSED_FORM,
     }
+    # Reports are named tuples: they unpack into their six fields, compare
+    # equal to the plain tuple, and as_dict keeps the field order.
+    identity, params, lhs, rhs, passed, backend = report
+    assert (identity, params, lhs, rhs, passed, backend) == (
+        "extended_stanley", {"n": 4, "k": 3}, 7, 7, True, CLOSED_FORM)
+    assert report == tuple(report)
+    fields = ["identity", "params", "lhs", "rhs", "passed", "backend"]
+    assert list(report.as_dict()) == list(report._fields) == fields
+    result = sweep("extended_stanley", (4, 4), (3, 3))
+    assert result.as_dict() == {
+        "identity": "extended_stanley",
+        "range": "n=4..4, k=3..3",
+        "total": 1,
+        "failures": [],
+    }
 
 
 def test_reports_are_deterministic():

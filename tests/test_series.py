@@ -142,6 +142,22 @@ def test_euler_product_pentagonal_pattern():
     assert list(euler_product(12).coeffs) == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
 
+def test_bad_modulus_rejected_before_the_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("the product ran before the modulus was checked")
+
+    monkeypatch.setattr(series, "sub", no_product)
+    builders = [
+        lambda: euler_product(6000, 1),
+        lambda: euler_inverse_product(6000, 1),
+        lambda: euler_product_pow(4, 6000, 0),
+        lambda: qk_generating_function(5, 6000, 1),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            build()
+
+
 def test_euler_times_its_inverse_is_one():
     trunc = 50
     assert euler_product(trunc) * euler_inverse_product(trunc) == PowerSeries.one(trunc)
