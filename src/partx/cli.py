@@ -35,8 +35,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
             bounds = (int(text), int(text))
     except ValueError:
         raise ValueError(f"{flag} expects 'A' or 'A..B', got {text!r}") from None
-    if bounds[0] > bounds[1]:
-        raise ValueError(f"{flag} range is empty: {text}")
     return bounds
 
 
@@ -60,7 +58,7 @@ def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
     in the file (0 when it is absent), and a non-None exit code aborts the
     command.
     """
-    if getattr(args, "verify_cache", False) and not args.cache:
+    if args.verify_cache and not args.cache:
         raise ValueError("--verify-cache requires --cache")
     if not args.cache:
         return None, 0, None
@@ -70,7 +68,7 @@ def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
     else:
         table = CountTable()
         stored = 0
-    if getattr(args, "verify_cache", False):
+    if args.verify_cache:
         bad = counting.consistency_check(table)
         if bad:
             print(
@@ -117,13 +115,6 @@ def _cmd_stats(args) -> int:
     s = counting.distinct_members(n, table)
     occurrences = {k: counting.occurrence_count(k, n, table) for k in range(1, kmax + 1)}
 
-    show_partitions = args.partitions
-    if show_partitions is None:
-        show_partitions = n <= PARTITION_LIST_AUTO_MAX
-    listing = None
-    if show_partitions:
-        listing = [str(part) for part in partitions.enumerate_partitions(n)]
-
     if args.json:
         _emit_json(
             {
@@ -139,6 +130,9 @@ def _cmd_stats(args) -> int:
         rows += [[f"Q_{k}({n})", v] for k, v in occurrences.items()]
         _emit_csv(rows)
     else:
+        show = n <= PARTITION_LIST_AUTO_MAX if args.partitions is None else args.partitions
+        # Listed before the first print, so that a refused listing prints nothing.
+        listing = [str(part) for part in partitions.enumerate_partitions(n)] if show else None
         print(f"n = {n}")
         print(f"P({n}) = {p}")
         print(f"S({n}) = {s}")
@@ -212,21 +206,14 @@ def _format_params(params: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    identity = args.identity.replace("-", "_")
-    if args.backend is None:
-        backend = identities.SPECS[identity].default_backend
-    else:
-        backend = _BACKENDS[args.backend]
-    if args.n is None:
-        raise ValueError("verify needs an --n range")
     n_range = _parse_range(args.n, "--n")
     k_range = _parse_range(args.k, "--k") if args.k else None
 
     result = identities.sweep(
-        identity,
+        args.identity.replace("-", "_"),
         n_range,
         k_range=k_range,
-        backend=backend,
+        backend=_BACKENDS.get(args.backend),
         family=args.family,
         modulus=args.mod,
     )
@@ -246,7 +233,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"identity: {result.identity}")
         print(f"range: {result.range_description}")
-        print(f"backend: {backend}")
+        print(f"backend: {result.backend}")
         print(f"checked: {result.total_checked}")
         print(f"failures: {len(result.failures)}")
         for f in result.failures:
@@ -335,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--partitions",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help=f"list the partitions (default: only for n <= {PARTITION_LIST_AUTO_MAX})",
+        help="list the partitions in the text output "
+        f"(default: only for n <= {PARTITION_LIST_AUTO_MAX}; ignored by --json and --csv)",
     )
     _add_format_flags(p_stats)
     _add_cache_flags(p_stats)
@@ -350,7 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="sweep one identity over a range")
     p_verify.add_argument("identity", choices=_IDENTITY_CHOICES)
-    p_verify.add_argument("--n", metavar="A..B", help="inclusive n range (or a single value)")
+    p_verify.add_argument(
+        "--n", metavar="A..B", required=True, help="inclusive n range (or a single value)"
+    )
     p_verify.add_argument("--k", metavar="A..B", help="inclusive k range (or a single value)")
     p_verify.add_argument("--family", type=int, help="congruence family (5, 7 or 11)")
     p_verify.add_argument("--mod", type=int, help="modulus for qk-congruence (default: family)")
@@ -386,10 +376,7 @@ def run(argv: list[str]) -> int:
     except TableFormatError as exc:
         print(f"partx: cache error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"partx: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"partx: error: {exc}", file=sys.stderr)
         return 2
 

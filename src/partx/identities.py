@@ -8,10 +8,11 @@ collects every failing report without short-circuiting.  One table,
 oracle span.
 
 Backends: ``oracle`` computes every quantity by the coin-change oracle in
-:mod:`partx.partitions` (bounded by its limit), ``closed_form`` uses the
-recurrence table.  ``both`` is accepted by :func:`sweep` and runs the
-closed form plus an oracle cross-check whenever the instance fits under
-the limit.  ``elder`` has no closed form and runs on the oracle only.
+:mod:`partx.partitions` (capped at its ``DEFAULT_ENUMERATION_LIMIT``),
+``closed_form`` uses the recurrence table.  ``both`` is accepted by
+:func:`sweep` and runs the closed form plus an oracle cross-check whenever
+the instance fits under that cap.  ``elder`` has no closed form and runs
+on the oracle only.
 
 The congruence checks (``ramanujan_p``, ``qk_congruence``) always go
 through the all-residue fast path, so :func:`sweep` accepts only the
@@ -58,6 +59,7 @@ class SweepResult(NamedTuple):
     range_description: str
     total_checked: int
     failures: list[IdentityReport]
+    backend: str
 
     @property
     def ok(self) -> bool:
@@ -87,15 +89,13 @@ def _require_nonnegative(value: int, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative, got {name}={value}")
 
 
-# Backend-dispatched statistics.  The oracle side adopts the same boundary
-# conventions as the closed forms: P(0) = 1 (the empty partition), and every
-# statistic is 0 below its support.
+# Backend-dispatched statistics.  Every verifier validates its arguments
+# first, so the oracle side sees n >= 1, except P(0) = 1 (the empty
+# partition) in the result1 and result2 sums.
 
 def _p(n: int, backend: str) -> int:
     if backend == CLOSED_FORM:
         return counting.partition_count(n)
-    if n < 0:
-        return 0
     if n == 0:
         return 1
     return partitions.oracle_stats(n).partition_count
@@ -104,24 +104,18 @@ def _p(n: int, backend: str) -> int:
 def _s(n: int, backend: str) -> int:
     if backend == CLOSED_FORM:
         return counting.distinct_members(n)
-    if n < 1:
-        return 0
     return partitions.oracle_stats(n).distinct_member_total
 
 
 def _q(k: int, n: int, backend: str) -> int:
     if backend == CLOSED_FORM:
         return counting.occurrence_count(k, n)
-    if n < 1:
-        return 0
     return partitions.oracle_stats(n).occurrences(k)
 
 
 def _r(k: int, n: int, backend: str) -> int:
     if backend == CLOSED_FORM:
         return counting.count_containing(k, n)
-    if n < 1:
-        return 0
     return partitions.oracle_stats(n).containing(k)
 
 
@@ -189,7 +183,7 @@ def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport
     _require_positive(k, "k")
     _check_backend(backend)
     lhs = _q(k, n, backend)
-    rhs = sum(_p(i, backend) for i in range(n) if i % k == n % k)
+    rhs = sum(_p(i, backend) for i in range(n % k, n, k))
     return _equality_report("result2", {"n": n, "k": k}, lhs, rhs, backend)
 
 
@@ -302,17 +296,18 @@ def sweep(
     backend: str | None = None,
     family: int | None = None,
     modulus: int | None = None,
-    limit: int = partitions.DEFAULT_ENUMERATION_LIMIT,
 ) -> SweepResult:
     """Run one verifier over the whole range, collecting every failure.
 
     Reports are generated in (n, k) order and the sweep never stops early,
     so the failure list is complete and deterministic.  ``backend`` defaults
-    to the identity's own (``SPECS[identity].default_backend``).  With the
-    ``both`` backend each instance runs the closed form, plus the oracle
-    whenever the instance fits under ``limit``.
+    to the identity's own (``SPECS[identity].default_backend``), and the
+    result records the one that ran.  With the ``both`` backend each
+    instance runs the closed form, plus the oracle whenever the instance
+    fits under ``partitions.DEFAULT_ENUMERATION_LIMIT``.
     """
     n_lo, n_hi = _check_range(n_range, "n")
+    k_bounds = None if k_range is None else _check_range(k_range, "k")
     spec = SPECS.get(identity)
     if spec is None:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
@@ -338,16 +333,17 @@ def sweep(
     desc_parts = [f"{name}={value}" for name, value in fixed.items()] + [f"n={n_lo}..{n_hi}"]
     k_tails = [()]
     if "k" in spec.params:
-        if k_range is None:
+        if k_bounds is None:
             raise ValueError(f"{identity} needs a k range")
-        k_lo, k_hi = _check_range(k_range, "k")
+        k_lo, k_hi = k_bounds
         desc_parts.append(f"k={k_lo}..{k_hi}")
         k_tails = [(k,) for k in range(k_lo, k_hi + 1)]
-    elif k_range is not None:
+    elif k_bounds is not None:
         raise ValueError(f"{identity} does not take a k range")
 
     lead = tuple(fixed.values())
     span = spec.oracle_span
+    limit = partitions.DEFAULT_ENUMERATION_LIMIT
     if backend == ORACLE and (top := span(*lead, n_hi, *k_tails[-1])) > limit:
         hint = "; use the closed_form backend" if CLOSED_FORM in spec.backends else ""
         raise ValueError(
@@ -372,4 +368,4 @@ def sweep(
                 report = verifier(*args, **kwargs)
                 if not report.passed:
                     failures.append(report)
-    return SweepResult(identity, ", ".join(desc_parts), total, failures)
+    return SweepResult(identity, ", ".join(desc_parts), total, failures, backend)

@@ -19,8 +19,8 @@ makes the oracle an independent route for the closed forms in
 :mod:`partx.counting` and the series in :mod:`partx.series`; this module
 imports neither.
 
-Listings and the oracle are capped (default n <= 80); the closed forms
-have no such cap.
+Listings and the oracle are capped at n <= :data:`DEFAULT_ENUMERATION_LIMIT`
+(80); the closed forms have no such cap.
 """
 
 from __future__ import annotations
@@ -124,13 +124,13 @@ class PartitionStats(NamedTuple):
         return self.containing_counts.get(k, 0)
 
 
-def _check_enumerable(n: int, limit: int) -> None:
+def _check_enumerable(n: int) -> None:
     if n < 1:
         raise ValueError(f"partitions are enumerated for n >= 1, got n={n}")
-    if n > limit:
+    if n > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(
-            f"n={n} is beyond the limit of {limit} for the oracle and listings; "
-            "use the closed forms in partx.counting instead"
+            f"n={n} is beyond the limit of {DEFAULT_ENUMERATION_LIMIT} for the oracle and "
+            "listings; use the closed forms in partx.counting instead"
         )
 
 
@@ -153,15 +153,13 @@ def _part_tuples(n: int) -> Iterator[tuple[int, ...]]:
             free -= chunk
 
 
-def enumerate_partitions(
-    n: int, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in descending lex order.
 
     The number of partitions yielded is P(n).  Raises ValueError for
-    n < 1 or n beyond ``limit``.
+    n < 1 or n beyond :data:`DEFAULT_ENUMERATION_LIMIT`.
     """
-    _check_enumerable(n, limit)
+    _check_enumerable(n)
     for parts in _part_tuples(n):
         yield Partition._wrap(parts)
 
@@ -225,16 +223,16 @@ _MIN_ORACLE_SIZE = 32
 _oracle = _Oracle()
 
 
-def _oracle_covering(n: int, limit: int) -> _Oracle:
+def _oracle_covering(n: int) -> _Oracle:
     # Geometric growth capped at the limit: a sweep over increasing n
     # rebuilds the tables a logarithmic number of times, not once per n.
-    _check_enumerable(n, limit)
+    _check_enumerable(n)
     if n > _oracle.size:
-        _oracle.grow(min(limit, max(n, 2 * _oracle.size, _MIN_ORACLE_SIZE)))
+        _oracle.grow(min(DEFAULT_ENUMERATION_LIMIT, max(n, 2 * _oracle.size, _MIN_ORACLE_SIZE)))
     return _oracle
 
 
-def oracle_stats(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PartitionStats:
+def oracle_stats(n: int) -> PartitionStats:
     """P(n), S(n) and all Q_k(n), R_k(n), counted from the definitions.
 
     With A_k(m) the number of partitions of m with no part k:
@@ -246,10 +244,10 @@ def oracle_stats(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PartitionSta
     Results are memoized per n, since the verification sweeps revisit the
     same n many times.  Treat the returned object as read-only.
     """
-    return _oracle_covering(n, limit).stats[n]
+    return _oracle_covering(n).stats[n]
 
 
-def elder_count(n: int, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def elder_count(n: int, k: int) -> int:
     """Occasions on which a part occurs k or more times, over all partitions of n.
 
     A partition with r part values each occurring at least k times
@@ -258,7 +256,7 @@ def elder_count(n: int, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    avoid = _oracle_covering(n, limit).avoid
+    avoid = _oracle_covering(n).avoid
     return sum(
         avoid[v][n - m * v] for v in range(1, n // k + 1) for m in range(k, n // v + 1)
     )

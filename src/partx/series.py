@@ -49,10 +49,6 @@ class PowerSeries:
         return s
 
     @classmethod
-    def zero(cls, trunc: int, modulus: int | None = None) -> "PowerSeries":
-        return cls([0] * (trunc + 1), modulus)
-
-    @classmethod
     def one(cls, trunc: int, modulus: int | None = None) -> "PowerSeries":
         return cls([1] + [0] * trunc, modulus)
 

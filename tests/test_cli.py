@@ -71,6 +71,17 @@ def test_stats_partitions_guard_beyond_limit(capsys):
     assert "closed forms" in err
 
 
+def test_stats_partitions_flag_is_text_only(capsys, monkeypatch):
+    def no_listing(n):
+        raise AssertionError("a machine-format stats built the partition listing")
+
+    monkeypatch.setattr(cli.partitions, "enumerate_partitions", no_listing)
+    for fmt in ("--json", "--csv"):
+        expected = run_cli(capsys, "stats", "30", fmt, "--no-partitions")
+        assert run_cli(capsys, "stats", "30", fmt, "--partitions") == expected
+        assert expected[0] == 0
+
+
 def test_stats_json_csv_same_numbers(capsys):
     _, out_json, _ = run_cli(capsys, "stats", "6", "--json")
     _, out_csv, _ = run_cli(capsys, "stats", "6", "--csv")

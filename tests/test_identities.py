@@ -278,6 +278,18 @@ def test_sweep_congruences_take_only_closed_form(backend):
     assert sweep("qk_congruence", (0, 3), family=5, backend=CLOSED_FORM).ok
 
 
-def test_sweep_oracle_limit_respects_custom_limit():
-    with pytest.raises(ValueError, match="limit"):
-        sweep("lemma1", (1, 30), (1, 10), backend=ORACLE, limit=30)
+def test_sweep_both_stops_the_oracle_at_its_cap(monkeypatch):
+    seen = []
+    real_stats = partitions.oracle_stats
+    monkeypatch.setattr(partitions, "oracle_stats", lambda n: seen.append(n) or real_stats(n))
+    result = sweep("lemma2", (70, 90), (1, 2), backend=BOTH)
+    assert result.total_checked == 42 and result.ok
+    assert max(seen) == partitions.DEFAULT_ENUMERATION_LIMIT == 80
+
+
+def test_sweep_result_reports_its_backend():
+    assert sweep("elder", (1, 4), (1, 2)).backend == ORACLE
+    assert sweep("lemma1", (1, 4), (1, 2)).backend == CLOSED_FORM
+    result = sweep("lemma1", (1, 4), (1, 2), backend=BOTH)
+    assert result.backend == BOTH
+    assert list(result.as_dict()) == ["identity", "range", "total", "failures"]

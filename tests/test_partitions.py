@@ -31,10 +31,12 @@ def test_rejects_nonpositive(n):
 
 
 def test_rejects_beyond_limit():
-    with pytest.raises(ValueError, match="limit"):
-        list(enumerate_partitions(11, limit=10))
-    # a raised limit admits the same n
-    assert len(plist(11)) == len(list(enumerate_partitions(11, limit=11)))
+    # The cap is fixed: n = 80 is admitted, and every oracle entry refuses 81 alike.
+    assert next(enumerate_partitions(80)) == Partition([80])
+    for call in (lambda: next(enumerate_partitions(81)), lambda: oracle_stats(81),
+                 lambda: elder_count(81, 1)):
+        with pytest.raises(ValueError, match="n=81 is beyond the limit of 80"):
+            call()
 
 
 def test_yields_valid_and_strictly_decreasing():
