@@ -51,6 +51,13 @@ def _emit_csv(rows: list[list]) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
+def _check_cache_dir(path: str) -> None:
+    # Before any work: a table that cannot be saved must not print an answer first.
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"cache {path}: no directory {folder}")
+
+
 def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
     """Open the table behind --cache, honouring --verify-cache.
 
@@ -62,6 +69,7 @@ def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
         raise ValueError("--verify-cache requires --cache")
     if not args.cache:
         return None, 0, None
+    _check_cache_dir(args.cache)
     if os.path.exists(args.cache):
         table = counting.load_table(args.cache)
         stored = len(table)
@@ -268,6 +276,7 @@ def _cmd_cache(args) -> int:
             raise ValueError("cache build needs --max")
         if args.max < 0:
             raise ValueError(f"--max must be nonnegative, got {args.max}")
+        _check_cache_dir(args.cache)
         table = CountTable().extend(args.max)
         counting.save_table(table, args.cache)
         print(f"saved P(0..{table.max_n}) to {args.cache}")
@@ -376,7 +385,7 @@ def run(argv: list[str]) -> int:
     except TableFormatError as exc:
         print(f"partx: cache error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"partx: error: {exc}", file=sys.stderr)
         return 2
 

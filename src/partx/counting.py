@@ -15,20 +15,23 @@ All functions are total: P(0) = 1 and every statistic is 0 for arguments
 below its support, so identity checks near the boundary need no special
 cases.  One kernel runs the recurrence for every table, over pentagonal
 offsets built once, shared, and stored negated so that each term is read
-from the end of the growing table; a table of residues passes it a modulus
-and carries the recurrence mod m for congruence sweeps at large n.  S and
-Q_k are sums over slices of a table grown once to their largest argument.
-Residue tables are served by the same statistic functions:
-``partition_count_mod`` and ``occurrence_count_mod`` run ``partition_count``
-and ``occurrence_count`` on one shared table per modulus.
+from the end of the growing table.  The offsets in use change only at the
+next generalized pentagonal number, so the kernel builds one
+``operator.itemgetter`` per sign for each such segment and computes every
+entry of the segment as two sums of its tuples.  A table of residues passes
+the kernel a modulus and carries the recurrence mod m for congruence sweeps
+at large n.  :func:`partition_sum` sums P over a range as one slice of a
+table grown once to the range's top; S and Q_k are such sums.  Residue
+tables are served by the same statistic functions: ``partition_count_mod``
+and ``occurrence_count_mod`` run ``partition_count`` and
+``occurrence_count`` on one shared table per modulus.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from itertools import islice
-from operator import neg
+from operator import itemgetter, neg
 
 TABLE_HEADER = "#partition-table v1"
 
@@ -45,6 +48,13 @@ _PLUS: list[int] = []
 _MINUS: list[int] = []
 
 
+def _getter(offsets: list[int]):
+    """A callable from a table to the tuple of its entries at ``offsets``."""
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    return lambda values: tuple(values[g] for g in offsets)  # itemgetter of one index is a scalar
+
+
 def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None:
     """Append P(m), reduced mod ``modulus`` if given, for m = len(values)..new_max."""
     plus, minus = _PLUS, _MINUS
@@ -53,11 +63,20 @@ def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None
         j += 1
         g = (j * (3 * j - 1)) >> 1
         (plus if j & 1 else minus).extend((-g, -g - j))
-    at = values.__getitem__
-    for m in range(len(values), new_max + 1):
-        total = sum(map(at, islice(plus, bisect_right(plus, m, key=neg))))
-        total -= sum(map(at, islice(minus, bisect_right(minus, m, key=neg))))
-        values.append(total if modulus is None else total % modulus)
+    append = values.append
+    m = len(values)
+    while m <= new_max:
+        # The offsets up to m stay in use until the next generalized pentagonal
+        # number, so one pair of itemgetters serves the whole segment.
+        np = bisect_right(plus, m, key=neg)
+        nm = bisect_right(minus, m, key=neg)
+        j, second = divmod(np + nm, 2)
+        stop = min(((j + 1) * (3 * j + 2 + 2 * second)) >> 1, new_max + 1)
+        gp, gm = _getter(plus[:np]), _getter(minus[:nm])
+        for _ in range(m, stop):
+            total = sum(gp(values)) - sum(gm(values))
+            append(total if modulus is None else total % modulus)
+        m = stop
 
 
 class CountTable:
@@ -143,15 +162,27 @@ def count_containing(k: int, n: int, table: CountTable | None = None) -> int:
     return partition_count(n - k, table)
 
 
+def partition_sum(indices: range, table: CountTable | None = None) -> int:
+    """The sum of P(i) over i in ``indices``, as one slice of the table.
+
+    P(i) = 0 for i < 0, so negative indices add nothing.
+    """
+    if indices.step < 0:
+        indices = indices[::-1]
+    if indices and indices[0] < 0:
+        indices = indices[-(indices[0] // indices.step):]  # the first i >= 0 on
+    if not indices:
+        return 0
+    t = _TABLE if table is None else table
+    partition_count(indices[-1], t)  # one extension covers every term
+    return sum(t._values[indices.start:indices.stop:indices.step])
+
+
 def occurrence_count(k: int, n: int, table: CountTable | None = None) -> int:
     """Q_k(n): total occurrences of the part k over all partitions of n."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    if n < k:
-        return 0
-    t = _TABLE if table is None else table
-    partition_count(n - k, t)  # one extension covers every term
-    return sum(t._values[n - k::-k])
+    return partition_sum(range(n % k, n - k + 1, k), table)
 
 
 def occurrence_count_mod(k: int, n: int, modulus: int) -> int:
@@ -161,11 +192,7 @@ def occurrence_count_mod(k: int, n: int, modulus: int) -> int:
 
 def distinct_members(n: int, table: CountTable | None = None) -> int:
     """S(n): distinct part values summed over all partitions of n."""
-    if n < 1:
-        return 0
-    t = _TABLE if table is None else table
-    partition_count(n - 1, t)
-    return sum(t._values[:n])
+    return partition_sum(range(n), table)
 
 
 def consistency_check(table: CountTable) -> list[int]:
@@ -178,7 +205,8 @@ def save_table(table: CountTable, path) -> None:
     """Write ``table`` in the partition-table v1 format (one ``n,P(n)`` per line).
 
     The table goes to a temporary file beside ``path`` that then replaces
-    it, so a write that fails partway leaves any earlier file intact.
+    it, so a write that fails partway leaves any earlier file intact.  An
+    error that names a file names ``path``, not the temporary file.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -187,6 +215,10 @@ def save_table(table: CountTable, path) -> None:
             for n, value in enumerate(table._values):
                 fh.write(f"{n},{value}\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):  # only after a failure
             os.remove(tmp)

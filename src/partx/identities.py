@@ -9,7 +9,10 @@ oracle span.
 
 Backends: ``oracle`` computes every quantity by the coin-change oracle in
 :mod:`partx.partitions` (capped at its ``DEFAULT_ENUMERATION_LIMIT``),
-``closed_form`` uses the recurrence table.  ``both`` is accepted by
+``closed_form`` uses the recurrence table.  The right-hand sums of result1
+and result2 are one slice sum over the table on the closed form
+(:func:`partx.counting.partition_sum`) and a sum of one oracle call per
+term on the oracle.  ``both`` is accepted by
 :func:`sweep` and runs the closed form plus an oracle cross-check whenever
 the instance fits under that cap.  ``elder`` has no closed form and runs
 on the oracle only.
@@ -101,6 +104,13 @@ def _p(n: int, backend: str) -> int:
     return partitions.oracle_stats(n).partition_count
 
 
+def _p_sum(indices: range, backend: str) -> int:
+    # The closed form sums one slice of the table; the oracle, term by term.
+    if backend == CLOSED_FORM:
+        return counting.partition_sum(indices)
+    return sum(_p(i, backend) for i in indices)
+
+
 def _s(n: int, backend: str) -> int:
     if backend == CLOSED_FORM:
         return counting.distinct_members(n)
@@ -173,7 +183,7 @@ def verify_result1(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
     _require_positive(n, "n")
     _check_backend(backend)
     lhs = _q(1, n, backend)
-    rhs = sum(_p(i, backend) for i in range(n))
+    rhs = _p_sum(range(n), backend)
     return _equality_report("result1", {"n": n}, lhs, rhs, backend)
 
 
@@ -183,7 +193,7 @@ def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport
     _require_positive(k, "k")
     _check_backend(backend)
     lhs = _q(k, n, backend)
-    rhs = sum(_p(i, backend) for i in range(n % k, n, k))
+    rhs = _p_sum(range(n % k, n, k), backend)
     return _equality_report("result2", {"n": n, "k": k}, lhs, rhs, backend)
 
 

@@ -3,8 +3,11 @@
 Coefficients live in the integers (``modulus=None``) or in the integers
 mod m.  A series of truncation degree N stores coefficients for x^0..x^N;
 every operation is exact through degree N and drops anything above it.
-Multiplication is schoolbook over the nonzero terms of both factors only,
-and inversion uses the standard recurrence
+Multiplication is by Kronecker substitution: both factors are packed into
+one integer each, with a slot per coefficient wide enough for any
+coefficient of the product, multiplied once as integers and unpacked; over
+Z/m the product of the representatives is reduced afterwards.  Inversion
+uses the standard recurrence
 b_0 = 1/a_0, b_i = -(1/a_0) * sum_{j=1..i} a_j b_{i-j}, summed over the
 nonzero a_j only.
 
@@ -16,12 +19,40 @@ the shifted two-index expansion of x * (Euler product)^4.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import islice
-from operator import itemgetter, mul, neg, sub
+from bisect import bisect_right
+from itertools import islice, repeat
+from operator import add, mul, neg, sub
 from typing import Iterable
 
 SERIES_HEADER = "#series v1"
+
+
+def _truncated_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The first len(a) coefficients of a * b over Z, by Kronecker substitution.
+
+    Each factor becomes one integer with a slot of ``width`` bytes per
+    coefficient, and one big-integer product gives every convolution sum at
+    once.  A coefficient of the product is a sum of at most len(a) terms, so
+    ``bound`` caps its magnitude, and a slot of one bit more holds it signed.
+    Coefficients go in offset by half a slot, which makes every chunk
+    nonnegative, and the offsets are subtracted again as one integer; the
+    low len(a) slots of the product come out the same way.
+    """
+    size = len(a)
+    bound = max(map(abs, a)) * max(map(abs, b)) * size
+    if not bound:
+        return [0] * size
+    width = (bound.bit_length() + 8) // 8  # bytes for bound plus a sign bit
+    half = 1 << (8 * width - 1)
+    slots = (1 << (8 * width * size)) - 1  # mask of the low ``size`` slots
+    offsets = slots // ((1 << (8 * width)) - 1) * half  # half in every slot
+
+    def pack(coeffs):
+        chunks = map(int.to_bytes, map(add, coeffs, repeat(half)), repeat(width), repeat("little"))
+        return int.from_bytes(b"".join(chunks), "little") - offsets
+
+    raw = ((pack(a) * pack(b) + offsets) & slots).to_bytes(width * size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 class PowerSeries:
@@ -110,14 +141,7 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_compat(other)
-        size = len(self.coeffs)
-        terms = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]  # ascending in j
-        out = [0] * size
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in islice(terms, bisect_left(terms, size - i, key=itemgetter(0))):
-                    out[i + j] += ai * bj
-        return self._reduce(out)
+        return self._reduce(_truncated_product(self.coeffs, other.coeffs))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

@@ -304,6 +304,22 @@ def test_cache_query_inside_table_leaves_file_untouched(capsys, tmp_path):
     assert counting.load_table(path).max_n == 30
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "5"], ["stats", "5"], ["table", "5", "--kmax", "2"], ["cache", "build", "--max", "5"],
+])
+def test_cache_in_a_missing_directory_fails_before_any_output(capsys, tmp_path, argv):
+    path = tmp_path / "nofile" / "x.txt"
+    code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert str(path) in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_path_that_is_a_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "count", "5", "--cache", str(tmp_path))
+    assert (code, out) == (2, "") and str(tmp_path) in err
+
+
 def test_verify_cache_flag(capsys, tmp_path):
     path = tmp_path / "table.txt"
     run_cli(capsys, "cache", "build", "--max", "12", "--cache", str(path))

@@ -3,6 +3,7 @@ import pytest
 from partx import counting, partitions
 from partx.counting import (
     CountTable,
+    ModCountTable,
     TableFormatError,
     consistency_check,
     count_containing,
@@ -12,6 +13,7 @@ from partx.counting import (
     occurrence_count_mod,
     partition_count,
     partition_count_mod,
+    partition_sum,
     save_table,
 )
 
@@ -183,6 +185,58 @@ def test_extend_table():
     assert len(table) == 11
 
 
+def naive_partition_numbers(top):
+    """P(0..top) by the pentagonal recurrence, one term at a time."""
+    p = [1]
+    for m in range(1, top + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= m:
+                    total += sign * p[m - g]
+            j += 1
+        p.append(total)
+    return p
+
+
+# The first 30 generalized pentagonal numbers g, where the kernel's offsets
+# change, and every m in {g - 1, g, g + 1}.
+PENTAGONAL = sorted(j * (3 * j + s) // 2 for j in range(1, 16) for s in (-1, 1))
+SEGMENT_EDGES = sorted({m for g in PENTAGONAL for m in (g - 1, g, g + 1)})
+
+
+def test_kernel_segment_edges(monkeypatch):
+    # Fresh offsets, grown by the tables below as they need them.
+    monkeypatch.setattr(counting, "_PLUS", [])
+    monkeypatch.setattr(counting, "_MINUS", [])
+    p = naive_partition_numbers(SEGMENT_EDGES[-1])
+    moduli = (None, 7, 125)
+
+    def fresh(modulus):
+        return CountTable() if modulus is None else ModCountTable(modulus)
+
+    def expected(modulus, m):
+        return p[: m + 1] if modulus is None else [v % modulus for v in p[: m + 1]]
+
+    grown = {modulus: fresh(modulus) for modulus in moduli}
+    for m in SEGMENT_EDGES:
+        for modulus in moduli:  # interleaved: each extend starts where the last one stopped
+            assert fresh(modulus).extend(m).values == expected(modulus, m), (modulus, m)
+            assert grown[modulus].extend(m).values == expected(modulus, m), (modulus, m)
+
+
+@pytest.mark.parametrize("indices", [
+    range(0), range(1), range(10), range(3, 3), range(-5, 10, 2), range(-4, 10, 2),
+    range(-5, -1), range(9, -7, -3), range(10, 0, -1), range(7, 300, 7), range(250, -1, -1),
+])
+def test_partition_sum_is_the_per_term_sum(indices):
+    table = CountTable()
+    assert partition_sum(indices, table) == sum(partition_count(i) for i in indices)
+    assert partition_sum(indices) == sum(partition_count(i) for i in indices)
+    assert table.max_n == max([0, *indices])  # grown only as far as the sum reads
+
+
 def test_table_monotone():
     table = CountTable().extend(200)
     vals = table.values
@@ -227,6 +281,14 @@ def test_failed_save_keeps_old_file(tmp_path):
         save_table(broken, path)
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.txt"]
+
+
+def test_failed_save_names_the_table_not_its_temporary_file(tmp_path):
+    path = tmp_path / "missing" / "table.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        save_table(CountTable().extend(5), path)
+    assert info.value.filename == str(path)
+    assert ".tmp" not in str(info.value)
 
 
 def _write(tmp_path, body):

@@ -293,3 +293,26 @@ def test_sweep_result_reports_its_backend():
     result = sweep("lemma1", (1, 4), (1, 2), backend=BOTH)
     assert result.backend == BOTH
     assert list(result.as_dict()) == ["identity", "range", "total", "failures"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 80, 81, 997, 3000])
+def test_closed_form_result_sums_equal_per_term_sums(n):
+    report = verify_result1(n)
+    assert report.passed and report.rhs == sum(counting.partition_count(i) for i in range(n))
+    for k in sorted({1, 2, 3, 7, max(1, n - 1), n, n + 1, n + 5}):  # n % k == 0 and k > n too
+        report = verify_result2(n, k)
+        expected = sum(counting.partition_count(i) for i in range(n % k, n, k))
+        assert report.passed and report.rhs == expected, (n, k)
+
+
+def test_sweep_both_keeps_one_oracle_call_per_term(monkeypatch):
+    seen = []
+    real_stats = partitions.oracle_stats
+    monkeypatch.setattr(partitions, "oracle_stats", lambda n: seen.append(n) or real_stats(n))
+    assert sweep("result1", (1, 80), backend=BOTH).ok
+    # lhs Q_1(n), then P(1..n-1); P(0) = 1 needs no oracle
+    assert seen == [m for n in range(1, 81) for m in (n, *range(1, n))]
+    seen.clear()
+    assert sweep("result2", (1, 80), (1, 4), backend=BOTH).ok
+    assert seen == [m for n in range(1, 81) for k in range(1, 5)
+                    for m in (n, *range(n % k or k, n, k))]

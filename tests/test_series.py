@@ -4,7 +4,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partx import counting, series
@@ -323,6 +323,60 @@ def test_mul_matches_schoolbook(case):
     modulus, (a, b) = case
     product = PowerSeries(a, modulus) * PowerSeries(b, modulus)
     assert list(product.coeffs) == reduced(naive_mul(a, b, len(a) - 1), modulus)
+
+
+# Coefficients on both sides of 2**64, where a fixed-width packing would overflow.
+EDGES_64 = [1, -1, 2**64 - 1, 2**64, -(2**64), -(2**64) - 1]
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two coefficient lists of one length (1 to 30, so trunc 0 too), each
+    all zero or a mix of zeros, EDGES_64 and signed values of up to 100 bits."""
+    size = draw(st.integers(1, 30))
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        if draw(st.booleans()) and draw(st.booleans()):
+            pair.append([0] * size)
+            continue
+        pool = [0] + EDGES_64 + [rnd.randint(-(2**100), 2**100) for _ in range(size)]
+        pair.append([rnd.choice(pool) for _ in range(size)])
+    return pair
+
+
+@settings(deadline=None)
+@given(wide_pairs())
+@example([[0], [5]])
+@example([[-3], [2**70]])
+def test_mul_matches_schoolbook_beyond_64_bits(pair):
+    a, b = pair
+    product = PowerSeries(a) * PowerSeries(b)
+    assert list(product.coeffs) == naive_mul(a, b, len(a) - 1)
+
+
+@settings(deadline=None)
+@given(wide_pairs(), st.integers(2, 2**80))
+@example([[0, 0, 0], [1, 2, 3]], 7)
+def test_mul_matches_schoolbook_beyond_64_bits_mod_m(pair, modulus):
+    a, b = pair
+    product = PowerSeries(a, modulus) * PowerSeries(b, modulus)
+    assert list(product.coeffs) == reduced(naive_mul(a, b, len(a) - 1), modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 125])
+def test_dense_products_equal_schoolbook(modulus):
+    # The products behind series euler4 and gk, at a size where both are dense.
+    trunc = 600
+    e = naive_euler_product(trunc)
+    e2 = naive_mul(e, e, trunc)
+    got = euler_product(trunc, modulus) * euler_product(trunc, modulus)
+    assert list(got.coeffs) == reduced(e2, modulus)
+    assert list((got * got).coeffs) == reduced(naive_mul(e2, e2, trunc), modulus)
+    geometric = [1 if d and d % 5 == 0 else 0 for d in range(trunc + 1)]
+    p = euler_inverse_product(trunc)
+    got = PowerSeries(geometric, modulus) * euler_inverse_product(trunc, modulus)
+    assert list(got.coeffs) == reduced(naive_mul(geometric, list(p.coeffs), trunc), modulus)
 
 
 @settings(deadline=None)
