@@ -23,7 +23,6 @@ from .counting import (
 from .identities import IdentityReport, SweepResult, sweep
 from .partitions import (
     DEFAULT_ENUMERATION_LIMIT,
-    Partition,
     PartitionStats,
     elder_count,
     enumerate_partitions,
@@ -45,7 +44,6 @@ __all__ = [
     "CountTable",
     "DEFAULT_ENUMERATION_LIMIT",
     "IdentityReport",
-    "Partition",
     "PartitionStats",
     "PowerSeries",
     "SweepResult",

@@ -140,7 +140,7 @@ def _cmd_stats(args) -> int:
     else:
         show = n <= PARTITION_LIST_AUTO_MAX if args.partitions is None else args.partitions
         # Listed before the first print, so that a refused listing prints nothing.
-        listing = [str(part) for part in partitions.enumerate_partitions(n)] if show else None
+        listing = list(partitions.enumerate_partitions(n)) if show else None
         print(f"n = {n}")
         print(f"P({n}) = {p}")
         print(f"S({n}) = {s}")
@@ -148,8 +148,8 @@ def _cmd_stats(args) -> int:
             print(f"Q_{k}({n}) = {v}")
         if listing is not None:
             print(f"partitions of {n} ({p} total):")
-            for line in listing:
-                print(f"  {line}")
+            for parts in listing:
+                print("  " + "+".join(map(str, parts)))
     _save_cache(args, table, stored)
     return 0
 
@@ -376,6 +376,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, and return the exit code (never raises SystemExit)."""
     parser = _build_parser()
+    # argparse takes a range such as "-1..2" for a flag, but "--n=-1..2" for a value.
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--n", "--k") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,8 +1,8 @@
 """Integer partitions, their enumeration, and the definitional statistics oracle.
 
-A partition of n is a nonincreasing sequence of positive integers summing
-to n.  :func:`enumerate_partitions` lists them one by one; it backs the
-partition listings and is the ground truth the oracle is tested against.
+A partition of n is a nonincreasing tuple of positive integers summing to
+n, such as ``(2, 2, 1)``.  One generator, :func:`enumerate_partitions`, lists
+them; it backs the listings and is the ground truth the oracle is tested against.
 
 The statistics, for a positive integer n:
 
@@ -30,83 +30,11 @@ from typing import Iterator, NamedTuple
 DEFAULT_ENUMERATION_LIMIT = 80
 
 
-class Partition:
-    """A partition stored as a nonincreasing tuple of positive parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("a partition needs at least one part")
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be nonincreasing, got {parts!r}")
-        self.parts = parts
-
-    @classmethod
-    def _wrap(cls, parts: tuple[int, ...]) -> "Partition":
-        # Fast path for the enumerator, which only produces valid tuples.
-        self = object.__new__(cls)
-        self.parts = parts
-        return self
-
-    @property
-    def n(self) -> int:
-        """The integer being partitioned."""
-        return sum(self.parts)
-
-    def multiplicity(self, value: int) -> int:
-        """How many times ``value`` occurs as a part."""
-        return self.parts.count(value)
-
-    def distinct_count(self) -> int:
-        """Number of distinct part values."""
-        return len(set(self.parts))
-
-    def runs(self) -> list[tuple[int, int]]:
-        """(value, multiplicity) pairs in descending part order."""
-        out = []
-        parts = self.parts
-        i, size = 0, len(parts)
-        while i < size:
-            v = parts[i]
-            j = i + 1
-            while j < size and parts[j] == v:
-                j += 1
-            out.append((v, j - i))
-            i = j
-        return out
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __str__(self):
-        # additive form, e.g. "2+2+1"
-        return "+".join(str(p) for p in self.parts)
-
-    def __repr__(self):
-        return f"Partition({list(self.parts)!r})"
-
-
 class PartitionStats(NamedTuple):
     """Every oracle statistic of one n.
 
     The count maps are sparse: only part values that actually occur are
-    stored, and the accessors return 0 for anything absent.
+    stored.  The accessors return 0 for an absent k and reject k < 1.
     """
 
     n: int
@@ -117,10 +45,14 @@ class PartitionStats(NamedTuple):
 
     def occurrences(self, k: int) -> int:
         """Q_k(n): total occurrences of the part k."""
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got k={k}")
         return self.occurrence_counts.get(k, 0)
 
     def containing(self, k: int) -> int:
         """R_k(n): partitions with at least one part equal to k."""
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got k={k}")
         return self.containing_counts.get(k, 0)
 
 
@@ -134,9 +66,15 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _part_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    # Descending lexicographic successor rule: decrement the rightmost
-    # part that exceeds 1, then repack the freed amount greedily.
+def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of n exactly once, as a tuple, in descending lex order.
+
+    The number of partitions yielded is P(n).  Raises ValueError for
+    n < 1 or n beyond :data:`DEFAULT_ENUMERATION_LIMIT`.
+    """
+    _check_enumerable(n)
+    # Successor rule: decrement the rightmost part that exceeds 1, then
+    # repack the freed amount greedily.
     parts = (n,)
     while True:
         yield parts
@@ -151,17 +89,6 @@ def _part_tuples(n: int) -> Iterator[tuple[int, ...]]:
             chunk = min(parts[-1], free)
             parts += (chunk,)
             free -= chunk
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in descending lex order.
-
-    The number of partitions yielded is P(n).  Raises ValueError for
-    n < 1 or n beyond :data:`DEFAULT_ENUMERATION_LIMIT`.
-    """
-    _check_enumerable(n)
-    for parts in _part_tuples(n):
-        yield Partition._wrap(parts)
 
 
 class _Oracle:

@@ -157,7 +157,7 @@ def test_criterion_08_qk_congruences_higher_power():
     expected125 = [(n, gk[125 * n + 99]) for n in range(24) if gk[125 * n + 99]]
     reported25 = [(f.params["n"], f.lhs) for f in mod25.failures]
     reported125 = [(f.params["n"], f.lhs) for f in mod125.failures]
-    q24 = sum(part.parts.count(5) for part in partitions.enumerate_partitions(24))
+    q24 = sum(part.count(5) for part in partitions.enumerate_partitions(24))
     q49 = partitions.oracle_stats(49).occurrences(5)
     q99 = series.qk_generating_function(5, 99)[99]
     ok = (

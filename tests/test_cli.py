@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from partx import cli, counting
 
@@ -63,6 +65,41 @@ def test_stats_listing_flags(capsys):
     assert out.count("\n") > 100  # P(14) = 135 listing lines
     _, out, _ = run_cli(capsys, "stats", "4", "--no-partitions")
     assert "partitions of" not in out
+
+
+# sha256 of the stdout of "stats n --partitions"; how partitions are held must not change it.
+LISTING_DIGESTS = {
+    1: "b2029603a9ca144c4dce60d4d74757dde8637093f5ec24f862e9086e643613d9",
+    2: "2c438dccf950bb312c528f0df2491c9d645c0b611cfc5c0812404427536da0cb",
+    3: "55706dd2a0fac757bbb6acd2d3e251ac3ee3e047530cee30e12e603798e533fc",
+    4: "8bada6eaf3eb7f738f9985198658cc342810b12b1f082b413f9b9af27d719445",
+    5: "923f30593aa3ffb5885c958f45e10606377c7173a1a30dfe8f15dd2615a4928d",
+    6: "748951999a20f7a49bb47eab0ae0d0852619703b09abb9dde9d0a655f83297e7",
+    7: "9c4a77a9628fac8bf5021de64016e16d55344de455c24ae9ad4203ef545ba370",
+    8: "808f1531f95764a4d1db1c9116429ba28c544a4e272a919189fc1d016d3ea241",
+    9: "5340415c674bd0a45340cd255a10b7cf6d2d0855aaca8bd42797ef7fbebfe246",
+    10: "bf10ddea0418996d4ad369c4d7ca5d15f788b485230100afa26fef7858bd9295",
+    11: "f66f187df3e0b790eed1a02eb93a2cd9765a867f780fc7d9d4bdc62393b4fd13",
+    12: "f9870d1b2e3da028f9dc91f3793971f30eb844609306e77528c67fd2b8a6220d",
+    13: "a77e8c2933e56075dd277d81c77fdbd284e48f274ca7f604eb25b25641cdab63",
+    14: "4ab235c8ca1cc2ca5000b9aab3efbfec4c356b5d789cb866b0db0cf466a7e552",
+    15: "5694c838caaf15d3d4c65496f5f56a7f515f142f12488d17bd6ba0526a3469ac",
+    16: "53b8de2c182773d1ddbdf5156649c5196659ae8fdf8daff333a8339ad484ea47",
+    17: "50d0602cc8baf9aa321c2c409e3b1b63ae381260b81557aa642cd777a60b1d60",
+    18: "7dce73e9f64a899f9cf0bb8b502464e5e6334843a791527980224f3630472f41",
+    19: "953c0512376e2cda062a9b914e33b7adb3aa06d4a3a77461691fab0a09ffc190",
+    20: "897f68a5a04604024bd5cbf03742dcbb3ad957ae1f272bcf799c0453cbe5e618",
+}
+
+
+def test_stats_partitions_listing_pinned(capsys):
+    for n, digest in LISTING_DIGESTS.items():
+        code, out, _ = run_cli(capsys, "stats", str(n), "--partitions")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), n
+        _, listing = out.split(f"partitions of {n} ({counting.partition_count(n)} total):\n")
+        lines = [tuple(map(int, line.strip().split("+"))) for line in listing.splitlines()]
+        assert len(lines) == counting.partition_count(n), n
+        assert all(a > b for a, b in zip(lines, lines[1:])), n
 
 
 def test_stats_partitions_guard_beyond_limit(capsys):
@@ -182,6 +219,46 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "closed_form" in err
     code, _, _ = run_cli(capsys, "verify", "stanley", "--n", "1..5", "--json", "--csv")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lemma2", "--n", "-1..2", "--k", "1"], "n must be a positive integer, got n=-1"),
+        (["lemma2", "--n", "5", "--k", "-1..2"], "k must be a positive integer, got k=-1"),
+        (["ramanujan-p", "--family", "5", "--n", "-3..2"], "n must be nonnegative, got n=-3"),
+    ],
+)
+def test_verify_negative_range_reaches_the_verifier(capsys, argv, message):
+    # A range that starts with "-" is a value of --n/--k, not a flag.
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"partx: error: {message}\n")
+
+
+def test_verify_flag_after_range_flag_is_not_a_value(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma2", "--n", "--k", "1")
+    assert (code, out) == (2, "")
+    assert "argument --n: expected one argument" in err
+
+
+@given(st.integers(), st.none() | st.integers())
+@example(-1, 2)
+@example(-3, None)
+def test_parse_range_round_trip(lo, hi):
+    text = str(lo) if hi is None else f"{lo}..{hi}"
+    assert cli._parse_range(text, "--n") == (lo, lo if hi is None else hi)
+
+
+@given(
+    st.text(alphabet=".-+x _", max_size=8)  # no digit at all
+    | st.builds("{}..".format, st.integers())
+    | st.builds("..{}".format, st.integers())
+    | st.builds("{}..{}..{}".format, st.integers(), st.integers(), st.integers())
+    | st.builds("{}.{}".format, st.integers(), st.integers(min_value=0))
+    | st.builds("{}..{}x".format, st.integers(), st.integers())
+)
+def test_parse_range_rejects_malformed(text):
+    with pytest.raises(ValueError, match=r"^--k expects 'A' or 'A\.\.B', got "):
+        cli._parse_range(text, "--k")
 
 
 @pytest.mark.parametrize(

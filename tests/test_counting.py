@@ -44,16 +44,26 @@ def test_count_containing():
     assert count_containing(1, 5) == 5
     assert count_containing(7, 3) == 0
     # brute force: partitions of 6 with at least one part 2
-    direct = sum(1 for p in partitions.enumerate_partitions(6) if 2 in p.parts)
+    direct = sum(1 for p in partitions.enumerate_partitions(6) if 2 in p)
     assert count_containing(2, 6) == direct == 5
     with pytest.raises(ValueError):
         count_containing(0, 5)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_oracle_rejects_nonpositive_k_like_closed_form(k):
+    message = f"^k must be a positive integer, got k={k}$"
+    stats = partitions.oracle_stats(5)
+    for call in (lambda: occurrence_count(k, 5), lambda: count_containing(k, 5),
+                 lambda: stats.occurrences(k), lambda: stats.containing(k)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_occurrence_count():
     assert occurrence_count(3, 6) == 4
     assert occurrence_count(5, 4) == 0
-    direct = sum(p.multiplicity(2) for p in partitions.enumerate_partitions(11))
+    direct = sum(p.count(2) for p in partitions.enumerate_partitions(11))
     assert occurrence_count(2, 11) == direct
     with pytest.raises(ValueError):
         occurrence_count(-1, 4)

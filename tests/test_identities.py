@@ -62,7 +62,7 @@ def test_lemma2_examples():
     report = verify_lemma2(4, 1, backend=ORACLE)
     assert (report.lhs, report.rhs, report.passed) == (5, 5, True)
     report = verify_lemma2(4, 4, backend=ORACLE)
-    direct = sum(1 for p in partitions.enumerate_partitions(8) if 4 in p.parts)
+    direct = sum(1 for p in partitions.enumerate_partitions(8) if 4 in p)
     assert report.lhs == 5 and report.rhs == direct == 5
     report = verify_lemma2(1, 1)
     assert (report.lhs, report.rhs) == (1, 1)

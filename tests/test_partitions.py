@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 
 from partx import partitions
-from partx.partitions import Partition, elder_count, enumerate_partitions, oracle_stats
+from partx.partitions import elder_count, enumerate_partitions, oracle_stats
 
 
 def plist(n):
-    return [list(p.parts) for p in enumerate_partitions(n)]
+    return [list(p) for p in enumerate_partitions(n)]
 
 
 def test_partitions_of_four():
@@ -32,7 +32,7 @@ def test_rejects_nonpositive(n):
 
 def test_rejects_beyond_limit():
     # The cap is fixed: n = 80 is admitted, and every oracle entry refuses 81 alike.
-    assert next(enumerate_partitions(80)) == Partition([80])
+    assert next(enumerate_partitions(80)) == (80,)
     for call in (lambda: next(enumerate_partitions(81)), lambda: oracle_stats(81),
                  lambda: elder_count(81, 1)):
         with pytest.raises(ValueError, match="n=81 is beyond the limit of 80"):
@@ -43,29 +43,13 @@ def test_yields_valid_and_strictly_decreasing():
     for n in range(1, 15):
         previous = None
         for part in enumerate_partitions(n):
-            assert sum(part.parts) == n
-            assert all(p >= 1 for p in part.parts)
-            assert all(a >= b for a, b in zip(part.parts, part.parts[1:]))
+            assert type(part) is tuple
+            assert sum(part) == n
+            assert all(p >= 1 for p in part)
+            assert all(a >= b for a, b in zip(part, part[1:]))
             if previous is not None:
-                assert part.parts < previous
-            previous = part.parts
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition([])
-    with pytest.raises(ValueError):
-        Partition([3, 0])
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-    p = Partition([2, 2, 1])
-    assert p.n == 5
-    assert str(p) == "2+2+1"
-    assert p.multiplicity(2) == 2
-    assert p.distinct_count() == 2
-    assert p.runs() == [(2, 2), (1, 1)]
-    assert p == Partition((2, 2, 1))
-    assert len({p, Partition([2, 2, 1])}) == 1
+                assert part < previous
+            previous = part
 
 
 def test_oracle_stats_for_four():
@@ -121,7 +105,7 @@ def test_elder_by_direct_recount():
         for k in (1, 2, 3):
             occasions = 0
             for part in enumerate_partitions(n):
-                occasions += sum(1 for _, mult in part.runs() if mult >= k)
+                occasions += sum(1 for mult in Counter(part).values() if mult >= k)
             assert elder_count(n, k) == occasions
 
 
@@ -139,7 +123,7 @@ def test_oracle_against_enumeration_ground_truth():
         count = distinct = 0
         occurrences, containing, at_least = Counter(), Counter(), Counter()
         for part in enumerate_partitions(n):
-            runs = Counter(part.parts)  # part value -> multiplicity
+            runs = Counter(part)  # part value -> multiplicity
             count += 1
             distinct += len(runs)
             occurrences.update(runs)
