@@ -11,19 +11,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
-from . import counting, identities, partitions, series
+from . import counting
 from .counting import CountTable, TableFormatError
 
 PARTITION_LIST_AUTO_MAX = 12
 
-_BACKENDS = {
-    "closed": identities.CLOSED_FORM,
-    "oracle": identities.ORACLE,
-    "both": identities.BOTH,
-}
+# --backend values and the names of identities.py's backend constants.
+_BACKENDS = {"closed": "CLOSED_FORM", "oracle": "ORACLE", "both": "BOTH"}
 
-_IDENTITY_CHOICES = [name.replace("_", "-") for name in identities.SPECS]
+
+def _module(name: str):
+    """The submodule ``name`` as this module's globals hold it, imported on first use.
+
+    identities, partitions and series serve only some commands, and
+    importing them would cost every other command start-up time.  A
+    replacement put in the globals beforehand (a tracing proxy, say) is the
+    one returned.
+    """
+    module = globals().get(name)
+    if module is None:
+        module = globals()[name] = import_module(f".{name}", __package__)
+    return module
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -140,7 +150,7 @@ def _cmd_stats(args) -> int:
     else:
         show = n <= PARTITION_LIST_AUTO_MAX if args.partitions is None else args.partitions
         # Listed before the first print, so that a refused listing prints nothing.
-        listing = list(partitions.enumerate_partitions(n)) if show else None
+        listing = list(_module("partitions").enumerate_partitions(n)) if show else None
         print(f"n = {n}")
         print(f"P({n}) = {p}")
         print(f"S({n}) = {s}")
@@ -214,6 +224,10 @@ def _format_params(params: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    identities = _module("identities")
+    names = [name.replace("_", "-") for name in identities.SPECS]
+    if args.identity not in names:
+        raise ValueError(f"unknown identity {args.identity!r} (choose from {', '.join(names)})")
     n_range = _parse_range(args.n, "--n")
     k_range = _parse_range(args.k, "--k") if args.k else None
 
@@ -221,7 +235,7 @@ def _cmd_verify(args) -> int:
         args.identity.replace("-", "_"),
         n_range,
         k_range=k_range,
-        backend=_BACKENDS.get(args.backend),
+        backend=getattr(identities, _BACKENDS[args.backend]) if args.backend else None,
         family=args.family,
         modulus=args.mod,
     )
@@ -258,6 +272,7 @@ def _cmd_series(args) -> int:
         raise ValueError(f"series {kind} does not take --k")
     if kind == "double-sum" and args.mod is not None:
         raise ValueError("series double-sum is integer-only; --mod is not supported")
+    series = _module("series")
     if kind == "f":
         result = series.euler_inverse_product(args.trunc, args.mod)
     elif kind == "gk":
@@ -346,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="sweep one identity over a range")
-    p_verify.add_argument("identity", choices=_IDENTITY_CHOICES)
+    # Checked by _cmd_verify against identities.SPECS, which only verify imports.
+    p_verify.add_argument("identity", help="the identity to sweep, such as stanley")
     p_verify.add_argument(
         "--n", metavar="A..B", required=True, help="inclusive n range (or a single value)"
     )

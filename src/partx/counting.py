@@ -31,9 +31,13 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from operator import itemgetter, neg
+from itertools import islice
+from operator import itemgetter, le, neg
 
 TABLE_HEADER = "#partition-table v1"
+_HEADER_LINE = TABLE_HEADER.encode("ascii") + b"\n"
+_DIGITS = b"0123456789"
+_HEADER_SKELETON = _HEADER_LINE.translate(None, _DIGITS)
 
 
 class TableFormatError(ValueError):
@@ -227,32 +231,70 @@ def save_table(table: CountTable, path) -> None:
 def load_table(path) -> CountTable:
     """Read a partition-table v1 file, validating structure only.
 
-    The header, the leading ``0,1`` line, gap-free increasing n and decimal
-    values are enforced; the values themselves are trusted (run
-    :func:`consistency_check` to re-derive them).
+    The header, the leading ``0,1`` line, gap-free increasing n, decimal
+    values that never decrease and a newline at the end of every entry are
+    enforced; the values themselves are trusted (run
+    :func:`consistency_check` to re-derive them).  The checks run on the
+    whole buffer at once; only a file that fails one is walked line by line,
+    to name its first bad line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != TABLE_HEADER:
-        raise TableFormatError(f"line 1: expected header {TABLE_HEADER!r}")
-    if len(lines) < 2:
-        raise TableFormatError("line 2: missing mandatory entry '0,1'")
-    values: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        n_str, sep, v_str = line.partition(",")
-        if not sep or not n_str.isdigit() or not v_str.isdigit():
-            raise TableFormatError(f"line {lineno}: expected 'n,value', got {line!r}")
-        n = int(n_str)
-        if n != lineno - 2:
-            raise TableFormatError(
-                f"line {lineno}: expected n={lineno - 2} (gap-free ascending), got n={n}"
-            )
-        values.append(int(v_str))
-    if values[0] != 1:
-        raise TableFormatError("line 2: first entry must be '0,1'")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # newlines as a text-mode read sees them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # Deleting the digits leaves ",\n" per entry exactly when every line is
+    # digits, one comma, digits and a newline; a last line cut short and
+    # empty fields leave no trace there, so they are looked for apart.
+    entries = data.count(b"\n") - 1
+    if (not data.startswith(_HEADER_LINE) or entries < 1 or not data.endswith(b"\n")
+            or data.translate(None, _DIGITS) != _HEADER_SKELETON + b",\n" * entries):
+        raise _first_fault(data.split(b"\n"))
+    # One buffer at a time: each step drops the one before.
+    data = data.replace(b",", b"\n")
+    fields = data.split(b"\n")  # header, n0, v0, n1, v1, ..., b""
+    del data
+    if fields.count(b"") > 1:  # the last field is the only empty one of a good file
+        raise _first_fault(_rejoin(fields))
+    values = list(map(int, fields[2::2]))
+    if (list(map(int, fields[1:-1:2])) != list(range(entries))
+            or values[0] != 1 or not all(map(le, values, islice(values, 1, None)))):
+        raise _first_fault(_rejoin(fields))
     table = CountTable()
     table._values = values
     return table
+
+
+def _rejoin(fields: list[bytes]) -> list[bytes]:
+    """The lines a table was split into ``fields`` from, one comma per entry line."""
+    return [fields[0], *map(b",".join, zip(fields[1::2], fields[2::2])), b""]
+
+
+def _first_fault(lines: list[bytes]) -> TableFormatError:
+    """The error naming the first bad line of a table file split at its newlines."""
+    if lines[0] != _HEADER_LINE[:-1]:
+        return TableFormatError(f"line 1: expected header {TABLE_HEADER!r}")
+    *entries, tail = lines[1:] or [b""]  # a header cut before its newline has no entries
+    if not entries and not tail:
+        return TableFormatError("line 2: missing mandatory entry '0,1'")
+    previous = 0
+    for lineno, line in enumerate(entries, start=2):
+        n, sep, v = line.partition(b",")
+        if not sep or not n.isdigit() or not v.isdigit():
+            text = line.decode("ascii", "replace")
+            return TableFormatError(f"line {lineno}: expected 'n,value', got {text!r}")
+        if int(n) != lineno - 2:
+            return TableFormatError(
+                f"line {lineno}: expected n={lineno - 2} (gap-free ascending), got n={int(n)}"
+            )
+        value = int(v)
+        if lineno == 2 and value != 1:
+            return TableFormatError("line 2: first entry must be '0,1'")
+        if value < previous:
+            return TableFormatError(
+                f"line {lineno}: P({lineno - 2}) is less than P({lineno - 3}) on the line before"
+            )
+        previous = value
+    text = tail.decode("ascii", "replace")
+    return TableFormatError(
+        f"line {len(entries) + 2}: entry {text!r} does not end in a newline (file cut short?)"
+    )

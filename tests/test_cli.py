@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from partx import cli, counting
+from partx import cli, counting, partitions
 
 
 def run_cli(capsys, *argv):
@@ -112,7 +112,7 @@ def test_stats_partitions_flag_is_text_only(capsys, monkeypatch):
     def no_listing(n):
         raise AssertionError("a machine-format stats built the partition listing")
 
-    monkeypatch.setattr(cli.partitions, "enumerate_partitions", no_listing)
+    monkeypatch.setattr(partitions, "enumerate_partitions", no_listing)
     for fmt in ("--json", "--csv"):
         expected = run_cli(capsys, "stats", "30", fmt, "--no-partitions")
         assert run_cli(capsys, "stats", "30", fmt, "--partitions") == expected
@@ -213,8 +213,10 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "empty" in err
     code, _, err = run_cli(capsys, "verify", "stanley", "--n", "x..2")
     assert code == 2
-    code, _, _ = run_cli(capsys, "verify", "no-such-identity", "--n", "1..5")
-    assert code == 2
+    for name in ("no-such-identity", "extended_stanley"):
+        code, out, err = run_cli(capsys, "verify", name, "--n", "1..5")
+        assert (code, out) == (2, "")
+        assert f"unknown identity {name!r}" in err and "extended-stanley, lemma1" in err
     code, _, err = run_cli(capsys, "verify", "stanley", "--n", "1..200", "--backend", "oracle")
     assert code == 2 and "closed_form" in err
     code, _, _ = run_cli(capsys, "verify", "stanley", "--n", "1..5", "--json", "--csv")
@@ -369,6 +371,17 @@ def test_count_with_cache_round_trip(capsys, tmp_path):
     assert counting.load_table(path).max_n == 20
 
 
+def test_cache_cut_mid_entry_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    run_cli(capsys, "cache", "build", "--max", "20", "--cache", str(path))
+    cut = path.read_text().split("15,176")[0] + "15,1"  # P(15) = 176
+    path.write_text(cut)
+    for n in ("15", "20"):
+        code, out, err = run_cli(capsys, "count", n, "--cache", str(path))
+        assert (code, out) == (2, "") and "line 17" in err
+    assert path.read_text() == cut
+
+
 def test_cache_query_inside_table_leaves_file_untouched(capsys, tmp_path):
     path = tmp_path / "table.txt"
     run_cli(capsys, "cache", "build", "--max", "30", "--cache", str(path))
@@ -428,15 +441,40 @@ def test_negative_count_is_total(capsys):
     assert code == 0 and out == "0\n"
 
 
-def test_cli_import_skips_unused_modules():
-    # A fresh interpreter: pytest itself has loaded every module checked here.
+def _loaded_after(setup: str) -> set[str]:
+    """The partx submodules, dataclasses, json and csv loaded by ``setup``.
+
+    ``setup`` runs in a fresh interpreter: pytest itself has loaded every
+    module checked here.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = ("import sys, partx.cli; "
-             "print(' '.join(m for m in ('dataclasses', 'json', 'csv') if m in sys.modules))")
+    watched = ("dataclasses", "json", "csv", "partx.cli", "partx.counting", "partx.identities",
+               "partx.partitions", "partx.series")
+    probe = f"{setup}\nimport sys\nprint(*(m for m in {watched!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+    assert (done.returncode, done.stderr) == (0, ""), setup
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_skips_unused_modules(tmp_path):
+    assert _loaded_after("import partx") == set()
+    assert _loaded_after("import partx.cli") == {"partx.cli", "partx.counting"}
+    cache = str(tmp_path / "p.txt")
+    unused = {"partx.identities", "partx.partitions", "partx.series"}
+    for argv in (["cache", "build", "--max", "40"], ["cache", "check"], ["count", "50"],
+                 ["stats", "30", "--json"], ["table", "20", "--kmax", "5"]):
+        argv += ["--cache", cache]
+        loaded = _loaded_after(f"import partx.cli\nassert partx.cli.main({argv!r}) == 0")
+        assert not loaded & unused, argv
+    argv = ["verify", "lemma2", "--n", "1..9", "--k", "1..3"]
+    loaded = _loaded_after(f"import partx.cli\nassert partx.cli.main({argv!r}) == 0")
+    assert "partx.series" not in loaded
+    assert _loaded_after("import partx\n"
+                         "for name in partx.__all__:\n"
+                         "    assert getattr(partx, name) is not None, name\n"
+                         "assert partx.sweep is partx.identities.sweep") >= unused
 
 
 # Every command under "Command line" in README, with the exit code and the

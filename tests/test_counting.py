@@ -1,4 +1,8 @@
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partx import counting, partitions
 from partx.counting import (
@@ -332,6 +336,82 @@ def test_load_rejects_non_decimal(tmp_path):
     body = "#partition-table v1\n0,1\n1,-4\n"
     with pytest.raises(TableFormatError, match="line 3"):
         load_table(_write(tmp_path, body))
+
+
+def test_load_rejects_an_entry_cut_short(tmp_path):
+    full = tmp_path / "full.txt"
+    save_table(CountTable().extend(20), full)
+    cut = full.read_text().split("15,176")[0] + "15,1"  # P(15) = 176
+    with pytest.raises(TableFormatError, match=r"^line 17: entry '15,1' does not end in a newline"):
+        load_table(_write(tmp_path, cut))
+    with pytest.raises(TableFormatError, match="line 2: entry '0,1' does not end"):
+        load_table(_write(tmp_path, "#partition-table v1\n0,1"))
+
+
+def test_load_rejects_decreasing_values(tmp_path):
+    body = "#partition-table v1\n0,1\n1,1\n2,2\n3,0\n"
+    with pytest.raises(TableFormatError, match=r"^line 5: P\(3\) is less than P\(2\)"):
+        load_table(_write(tmp_path, body))
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0,1\n1,1,2\n", 3),  # three fields on one line are not two entries
+    ("0,1,\n1\n", 2),
+    ("0,1\n,1\n", 3),
+    ("0,1\n1,\n", 3),
+    ("0,1\n\n", 3),
+    ("0,1\n1,1\n2, 2\n", 4),
+    ("0,1\n1,\u00b9\n", 3),  # a non-ASCII digit
+])
+def test_load_rejects_malformed_entry_lines(tmp_path, body, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(("#partition-table v1\n" + body).encode("utf-8"))
+    with pytest.raises(TableFormatError, match=rf"^line {line}: expected 'n,value', got "):
+        load_table(path)
+
+
+def test_load_names_the_first_bad_line(tmp_path):
+    body = "#partition-table v1\n0,1\n1,1\n3,3\n3,x\n4,2\n"
+    with pytest.raises(TableFormatError, match="^line 4: expected n=2"):
+        load_table(_write(tmp_path, body))
+
+
+# Values that a table file may hold: P(0) = 1 and never decreasing.
+nondecreasing_tables = st.lists(st.integers(0, 10**30), max_size=40).map(
+    lambda steps: list(accumulate(steps, initial=1))
+)
+
+
+def _table_of(values):
+    table = CountTable()
+    table._values = list(values)
+    return table
+
+
+@settings(deadline=None, max_examples=50)
+@given(nondecreasing_tables)
+def test_save_load_round_trip_property(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("round") / "table.txt"
+    save_table(_table_of(values), path)
+    assert load_table(path).values == values
+
+
+@settings(deadline=None, max_examples=20)
+@given(nondecreasing_tables)
+def test_truncated_table_loads_a_prefix_or_fails(tmp_path_factory, values):
+    folder = tmp_path_factory.mktemp("cut")
+    save_table(_table_of(values), folder / "table.txt")
+    data = (folder / "table.txt").read_bytes()
+    cut = folder / "cut.txt"
+    for offset in range(len(data) + 1):
+        cut.write_bytes(data[:offset])
+        try:
+            loaded = load_table(cut).values
+        except TableFormatError:
+            continue
+        # Accepted only where an entry line ends: exactly the entries before the cut.
+        assert data[offset - 1:offset] == b"\n"
+        assert loaded == values[:data.count(b"\n", 0, offset) - 1]
 
 
 def test_load_accepts_tampered_value_but_check_catches_it(tmp_path):
