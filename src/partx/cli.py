@@ -123,12 +123,12 @@ def _cmd_stats(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"stats needs n >= 1, got n={n}")
-    table, stored, abort = _load_cache(args)
-    if abort is not None:
-        return abort
     kmax = args.kmax if args.kmax is not None else n
     if kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {kmax}")
+    table, stored, abort = _load_cache(args)
+    if abort is not None:
+        return abort
     p = counting.partition_count(n, table)
     s = counting.distinct_members(n, table)
     occurrences = {k: counting.occurrence_count(k, n, table) for k in range(1, kmax + 1)}

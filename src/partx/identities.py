@@ -1,26 +1,27 @@
 """Verification harness for the partition-statistic identities.
 
-Each ``verify_*`` function evaluates both sides of one identity instance
-with the requested backend and returns an :class:`IdentityReport`;
-:func:`sweep` runs a verifier over a rectangle of (n, k) values and
-collects every failing report without short-circuiting.  One table,
-:data:`SPECS`, tells the sweep each identity's arguments, backends and
-oracle span.
+Each identity is a relation between P, S, Q_k and R_k, written once in its
+``verify_*`` function over a route: :data:`_ROUTES` maps each backend to a
+:class:`Route` of ``p``, ``p_sum``, ``s``, ``q``, ``r`` and ``fits``.
 
-Backends: ``oracle`` computes every quantity by the coin-change oracle in
-:mod:`partx.partitions` (capped at its ``DEFAULT_ENUMERATION_LIMIT``),
-``closed_form`` uses the recurrence table.  The right-hand sums of result1
-and result2 are one slice sum over the table on the closed form
-(:func:`partx.counting.partition_sum`) and a sum of one oracle call per
-term on the oracle.  ``both`` is accepted by
-:func:`sweep` and runs the closed form plus an oracle cross-check whenever
-the instance fits under that cap.  ``elder`` has no closed form and runs
-on the oracle only.
+* ``closed_form`` reads the recurrence table of :mod:`partx.counting`.  S
+  and Q_k are slice sums of that table, so stanley, lemma2, result1 and
+  result2 compare a table slice, or entry, with itself here and cannot fail.
+* ``oracle`` counts from the definitions with the coin-change oracle of
+  :mod:`partx.partitions`, one call per term of a sum, and fits up to its
+  ``DEFAULT_ENUMERATION_LIMIT``.  It is the independent check.
 
-The congruence checks (``ramanujan_p``, ``qk_congruence``) always go
-through the all-residue fast path, so :func:`sweep` accepts only the
-``closed_form`` backend for them; their reports carry the residue as
-both lhs and rhs, and pass exactly when it is 0.
+The routes look ``counting`` and ``partitions`` up in this module's globals
+on every call, so swapping those references (as ``perfbench/spans.py``
+does) reaches every statistic.
+
+:func:`sweep` runs a verifier over a rectangle of (n, k) values and collects
+every failing report.  :data:`SPECS` gives each identity's arguments,
+backends and oracle span.  ``both`` adds an oracle cross-check wherever the
+oracle route fits; ``elder`` runs on the oracle only.  The congruence checks
+(``ramanujan_p``, ``qk_congruence``) run on the all-residue recurrence only;
+their reports carry the residue as both lhs and rhs and pass exactly when it
+is 0.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ class SweepResult(NamedTuple):
         }
 
 
-def _check_backend(backend: str) -> None:
-    if backend not in (ORACLE, CLOSED_FORM):
-        raise ValueError(f"unknown backend {backend!r}")
-
-
 def _require_positive(value: int, name: str) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {name}={value}")
@@ -92,109 +88,104 @@ def _require_nonnegative(value: int, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative, got {name}={value}")
 
 
-# Backend-dispatched statistics.  Every verifier validates its arguments
-# first, so the oracle side sees n >= 1, except P(0) = 1 (the empty
-# partition) in the result1 and result2 sums.
+class Route(NamedTuple):
+    """One way to compute the statistics; ``fits(top)`` says whether it reaches n = top."""
 
-def _p(n: int, backend: str) -> int:
-    if backend == CLOSED_FORM:
-        return counting.partition_count(n)
-    if n == 0:
-        return 1
-    return partitions.oracle_stats(n).partition_count
-
-
-def _p_sum(indices: range, backend: str) -> int:
-    # The closed form sums one slice of the table; the oracle, term by term.
-    if backend == CLOSED_FORM:
-        return counting.partition_sum(indices)
-    return sum(_p(i, backend) for i in indices)
+    p: Callable[[int], int]
+    p_sum: Callable[[range], int]
+    s: Callable[[int], int]
+    q: Callable[[int, int], int]
+    r: Callable[[int, int], int]
+    fits: Callable[[int], bool]
 
 
-def _s(n: int, backend: str) -> int:
-    if backend == CLOSED_FORM:
-        return counting.distinct_members(n)
-    return partitions.oracle_stats(n).distinct_member_total
+class _Routes(dict):
+    def __missing__(self, backend):
+        raise ValueError(f"unknown backend {backend!r}")
 
 
-def _q(k: int, n: int, backend: str) -> int:
-    if backend == CLOSED_FORM:
-        return counting.occurrence_count(k, n)
-    return partitions.oracle_stats(n).occurrences(k)
+def _oracle_p(n: int) -> int:
+    # P(0) = 1 (the empty partition) enters the result1 and result2 sums.
+    return partitions.oracle_stats(n).partition_count if n else 1
 
 
-def _r(k: int, n: int, backend: str) -> int:
-    if backend == CLOSED_FORM:
-        return counting.count_containing(k, n)
-    return partitions.oracle_stats(n).containing(k)
-
-
-def _equality_report(identity, params, lhs, rhs, backend) -> IdentityReport:
-    return IdentityReport(identity, params, lhs, rhs, lhs == rhs, backend)
-
-
-def _congruence_report(identity, params, residue) -> IdentityReport:
-    # lhs is the value under test already reduced mod params["modulus"];
-    # rhs records the same residue, and passing means residue 0.
-    return IdentityReport(identity, params, residue, residue, residue == 0, CLOSED_FORM)
+# Every verifier validates its arguments first, so the oracle sees n >= 1.
+_ROUTES = _Routes({
+    CLOSED_FORM: Route(
+        p=lambda n: counting.partition_count(n),
+        p_sum=lambda indices: counting.partition_sum(indices),
+        s=lambda n: counting.distinct_members(n),
+        q=lambda k, n: counting.occurrence_count(k, n),
+        r=lambda k, n: counting.count_containing(k, n),
+        fits=lambda top: True,
+    ),
+    ORACLE: Route(
+        p=_oracle_p,
+        p_sum=lambda indices: sum(map(_oracle_p, indices)),
+        s=lambda n: partitions.oracle_stats(n).distinct_member_total,
+        q=lambda k, n: partitions.oracle_stats(n).occurrences(k),
+        r=lambda k, n: partitions.oracle_stats(n).containing(k),
+        fits=lambda top: top <= partitions.DEFAULT_ENUMERATION_LIMIT,
+    ),
+})
 
 
 def verify_stanley(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """S(n) == Q_1(n)."""
     _require_positive(n, "n")
-    _check_backend(backend)
-    return _equality_report(
-        "stanley", {"n": n}, _s(n, backend), _q(1, n, backend), backend
-    )
+    at = _ROUTES[backend]
+    lhs = at.s(n)
+    rhs = at.q(1, n)
+    return IdentityReport("stanley", {"n": n}, lhs, rhs, lhs == rhs, backend)
 
 
 def verify_extended_stanley(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """S(n) == Q_k(n) + Q_k(n+1) + ... + Q_k(n+k-1)."""
     _require_positive(n, "n")
     _require_positive(k, "k")
-    _check_backend(backend)
-    lhs = _s(n, backend)
-    rhs = sum(_q(k, n + i, backend) for i in range(k))
-    return _equality_report("extended_stanley", {"n": n, "k": k}, lhs, rhs, backend)
+    at = _ROUTES[backend]
+    lhs = at.s(n)
+    rhs = sum(at.q(k, n + i) for i in range(k))
+    return IdentityReport("extended_stanley", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
 
 
 def verify_lemma1(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """Q_k(n+k) == Q_k(n) + R_k(n+k)."""
     _require_positive(n, "n")
     _require_positive(k, "k")
-    _check_backend(backend)
-    lhs = _q(k, n + k, backend)
-    rhs = _q(k, n, backend) + _r(k, n + k, backend)
-    return _equality_report("lemma1", {"n": n, "k": k}, lhs, rhs, backend)
+    at = _ROUTES[backend]
+    lhs = at.q(k, n + k)
+    rhs = at.q(k, n) + at.r(k, n + k)
+    return IdentityReport("lemma1", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
 
 
 def verify_lemma2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """P(n) == R_k(n+k)."""
     _require_positive(n, "n")
     _require_positive(k, "k")
-    _check_backend(backend)
-    lhs = _p(n, backend)
-    rhs = _r(k, n + k, backend)
-    return _equality_report("lemma2", {"n": n, "k": k}, lhs, rhs, backend)
+    at = _ROUTES[backend]
+    lhs = at.p(n)
+    rhs = at.r(k, n + k)
+    return IdentityReport("lemma2", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
 
 
 def verify_result1(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """Q_1(n) == P(0) + P(1) + ... + P(n-1)."""
     _require_positive(n, "n")
-    _check_backend(backend)
-    lhs = _q(1, n, backend)
-    rhs = _p_sum(range(n), backend)
-    return _equality_report("result1", {"n": n}, lhs, rhs, backend)
+    at = _ROUTES[backend]
+    lhs = at.q(1, n)
+    rhs = at.p_sum(range(n))
+    return IdentityReport("result1", {"n": n}, lhs, rhs, lhs == rhs, backend)
 
 
 def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """Q_k(n) == sum of P(i) over 0 <= i <= n-1 with i == n (mod k)."""
     _require_positive(n, "n")
     _require_positive(k, "k")
-    _check_backend(backend)
-    lhs = _q(k, n, backend)
-    rhs = _p_sum(range(n % k, n, k), backend)
-    return _equality_report("result2", {"n": n, "k": k}, lhs, rhs, backend)
+    at = _ROUTES[backend]
+    lhs = at.q(k, n)
+    rhs = at.p_sum(range(n % k, n, k))
+    return IdentityReport("result2", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
 
 
 def verify_elder(n: int, k: int) -> IdentityReport:
@@ -203,7 +194,7 @@ def verify_elder(n: int, k: int) -> IdentityReport:
     _require_positive(k, "k")
     lhs = partitions.elder_count(n, k)
     rhs = partitions.oracle_stats(n).occurrences(k)
-    return _equality_report("elder", {"n": n, "k": k}, lhs, rhs, ORACLE)
+    return IdentityReport("elder", {"n": n, "k": k}, lhs, rhs, lhs == rhs, ORACLE)
 
 
 def verify_ramanujan_p(family: int, n: int) -> IdentityReport:
@@ -215,7 +206,7 @@ def verify_ramanujan_p(family: int, n: int) -> IdentityReport:
     argument = family * n + offset
     residue = counting.partition_count_mod(argument, family)
     params = {"family": family, "n": n, "argument": argument, "modulus": family}
-    return _congruence_report("ramanujan_p", params, residue)
+    return IdentityReport("ramanujan_p", params, residue, residue, residue == 0, CLOSED_FORM)
 
 
 def verify_qk_congruence(k: int, modulus: int, n: int) -> IdentityReport:
@@ -229,16 +220,16 @@ def verify_qk_congruence(k: int, modulus: int, n: int) -> IdentityReport:
     argument = step * n + offset
     residue = counting.occurrence_count_mod(k, argument, modulus)
     params = {"k": k, "modulus": modulus, "n": n, "argument": argument}
-    return _congruence_report("qk_congruence", params, residue)
+    return IdentityReport("qk_congruence", params, residue, residue, residue == 0, CLOSED_FORM)
 
 
 def verify_difference_identity(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """P(5n+4) == Q_5(5n+9) - Q_5(5n+4)."""
     _require_nonnegative(n, "n")
-    _check_backend(backend)
-    lhs = _p(5 * n + 4, backend)
-    rhs = _q(5, 5 * n + 9, backend) - _q(5, 5 * n + 4, backend)
-    return _equality_report("difference_identity", {"n": n}, lhs, rhs, backend)
+    at = _ROUTES[backend]
+    lhs = at.p(5 * n + 4)
+    rhs = at.q(5, 5 * n + 9) - at.q(5, 5 * n + 4)
+    return IdentityReport("difference_identity", {"n": n}, lhs, rhs, lhs == rhs, backend)
 
 
 # sweep plumbing -------------------------------------------------------------
@@ -313,8 +304,8 @@ def sweep(
     so the failure list is complete and deterministic.  ``backend`` defaults
     to the identity's own (``SPECS[identity].default_backend``), and the
     result records the one that ran.  With the ``both`` backend each
-    instance runs the closed form, plus the oracle whenever the instance
-    fits under ``partitions.DEFAULT_ENUMERATION_LIMIT``.
+    instance runs the closed form, plus the oracle whenever the oracle
+    route fits the instance's oracle span.
     """
     n_lo, n_hi = _check_range(n_range, "n")
     k_bounds = None if k_range is None else _check_range(k_range, "k")
@@ -353,8 +344,9 @@ def sweep(
 
     lead = tuple(fixed.values())
     span = spec.oracle_span
-    limit = partitions.DEFAULT_ENUMERATION_LIMIT
-    if backend == ORACLE and (top := span(*lead, n_hi, *k_tails[-1])) > limit:
+    fits = _ROUTES[ORACLE].fits
+    if backend == ORACLE and not fits(top := span(*lead, n_hi, *k_tails[-1])):
+        limit = partitions.DEFAULT_ENUMERATION_LIMIT
         hint = "; use the closed_form backend" if CLOSED_FORM in spec.backends else ""
         raise ValueError(
             f"{identity} needs the oracle up to n={top}, beyond its limit of {limit}{hint}"
@@ -374,7 +366,7 @@ def sweep(
         for tail in k_tails:
             args = head + tail
             total += 1
-            for kwargs in crossed if crossed and span(*args) <= limit else single:
+            for kwargs in crossed if crossed and fits(span(*args)) else single:
                 report = verifier(*args, **kwargs)
                 if not report.passed:
                     failures.append(report)

@@ -422,6 +422,18 @@ def test_verify_cache_flag(capsys, tmp_path):
     assert code == 2 and "--cache" in err
 
 
+def test_stats_rejects_kmax_before_reading_the_cache(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    run_cli(capsys, "cache", "build", "--max", "12", "--cache", str(path))
+    path.write_text(path.read_text().replace("4,5\n", "4,6\n"))  # entries disagree
+    code, out, err = run_cli(capsys, "stats", "5", "--kmax", "0", "--cache", str(path),
+                             "--verify-cache")
+    assert (code, out) == (2, "") and "--kmax must be >= 1" in err
+    path.write_text(path.read_text()[:-3])  # cut inside the last entry
+    code, out, err = run_cli(capsys, "stats", "5", "--kmax", "0", "--cache", str(path))
+    assert (code, out) == (2, "") and "--kmax must be >= 1" in err and "line" not in err
+
+
 def test_run_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "table", "9", "--kmax", "6")
     _, second, _ = run_cli(capsys, "table", "9", "--kmax", "6")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partx import counting, partitions
+from partx import counting, identities, partitions
 from partx.counting import (
     CountTable,
     ModCountTable,
@@ -82,13 +82,18 @@ def test_distinct_members():
 
 
 def test_oracle_equivalence():
-    for n in range(1, 41):
-        st = partitions.oracle_stats(n)
-        assert partition_count(n) == st.partition_count
-        assert distinct_members(n) == st.distinct_member_total
-        for k in range(1, n + 1):
-            assert occurrence_count(k, n) == st.occurrences(k), (n, k)
-            assert count_containing(k, n) == st.containing(k), (n, k)
+    # The closed-form and oracle routes of ``verify`` agree on every statistic
+    # up to the oracle cap; the sums of P start at P(0) = 1.
+    closed = identities._ROUTES[identities.CLOSED_FORM]
+    oracle = identities._ROUTES[identities.ORACLE]
+    assert closed.p(0) == oracle.p(0) == 1
+    for n in range(1, 81):
+        assert closed.p(n) == oracle.p(n), n
+        assert closed.s(n) == oracle.s(n), n
+        for k in range(1, n + 2):
+            assert closed.q(k, n) == oracle.q(k, n), (n, k)
+            assert closed.r(k, n) == oracle.r(k, n), (n, k)
+            assert closed.p_sum(range(0, n, k)) == oracle.p_sum(range(0, n, k)), (n, k)
 
 
 def test_occurrence_recurrence_property():

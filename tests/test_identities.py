@@ -150,8 +150,13 @@ def test_backend_agreement_sample():
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        verify_stanley(4, backend="series")
+    # Every verifier that takes a backend; one loop keeps the test's id stable.
+    for verifier, args in ((verify_stanley, (4,)), (verify_extended_stanley, (4, 2)),
+                           (verify_lemma1, (4, 2)), (verify_lemma2, (4, 2)),
+                           (verify_result1, (4,)), (verify_result2, (4, 2)),
+                           (verify_difference_identity, (1,))):
+        with pytest.raises(ValueError, match="^unknown backend 'series'$"):
+            verifier(*args, backend="series")
 
 
 def test_report_as_dict():
