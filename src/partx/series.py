@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import islice, repeat
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 from typing import Iterable
 
 SERIES_HEADER = "#series v1"
@@ -63,7 +63,7 @@ class PowerSeries:
     def __init__(self, coeffs: Iterable[int], modulus: int | None = None):
         if modulus is not None and modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         if modulus is not None:
@@ -99,14 +99,6 @@ class PowerSeries:
             return self.modulus == other.modulus and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.coeffs, self.modulus))
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
-        return f"PowerSeries([{head}{tail}], trunc={self.trunc}, ring={self.ring_name})"
-
     def _check_compat(self, other: "PowerSeries") -> None:
         if self.modulus != other.modulus:
             raise ValueError(
@@ -117,31 +109,14 @@ class PowerSeries:
                 f"truncation mismatch: {self.trunc} vs {other.trunc}"
             )
 
-    def _reduce(self, values) -> "PowerSeries":
-        if self.modulus is not None:
-            values = [v % self.modulus for v in values]
-        return PowerSeries._make(values, self.modulus)
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_compat(other)
-        return self._reduce([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_compat(other)
-        return self._reduce([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return self._reduce([-a for a in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_compat(other)
-        return self._reduce(_truncated_product(self.coeffs, other.coeffs))
+        values = _truncated_product(self.coeffs, other.coeffs)
+        if self.modulus is not None:
+            values = [v % self.modulus for v in values]
+        return PowerSeries._make(values, self.modulus)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -186,26 +161,6 @@ class PowerSeries:
             v = -inv0 * sum(map(mul, islice(weights, used), map(at, islice(offsets, used))))
             b.append(v % m if m is not None else v)
         return PowerSeries._make(b, m)
-
-    def shifted(self, degree: int) -> "PowerSeries":
-        """Multiply by x**degree, keeping the same truncation."""
-        if degree < 0:
-            raise ValueError(f"shift degree must be nonnegative, got {degree}")
-        size = len(self.coeffs)
-        out = [0] * size
-        for i in range(size - degree):
-            out[i + degree] = self.coeffs[i]
-        return PowerSeries._make(out, self.modulus)
-
-    def reduce_mod(self, modulus: int) -> "PowerSeries":
-        """Map the coefficients into Z/modulus (the ring homomorphism)."""
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if self.modulus is not None and self.modulus % modulus != 0:
-            raise ValueError(
-                f"cannot reduce {self.ring_name} coefficients mod {modulus}"
-            )
-        return PowerSeries._make([c % modulus for c in self.coeffs], modulus)
 
 
 def euler_product(trunc: int, modulus: int | None = None) -> PowerSeries:

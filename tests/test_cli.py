@@ -317,6 +317,28 @@ def test_series_euler4(capsys):
     assert out.splitlines()[-1] == "4,-5"
 
 
+@pytest.mark.parametrize("modulus", [5, 25])
+def test_series_gk_mod_m(capsys, modulus):
+    # x^5/(1 - x^5) times the partition series, multiplied over Z/m.
+    argv = ["series", "gk", "--k", "5", "--trunc", "120", "--mod", str(modulus)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [f"#series v1 ring=Zmod:{modulus} trunc=120"] + [
+        f"{d},{counting.occurrence_count(5, d) % modulus}" for d in range(121)
+    ]
+
+
+def test_series_euler4_mod_seven(capsys):
+    # Squaring twice over Z/7 gives the integer fourth power reduced mod 7.
+    _, integer, _ = run_cli(capsys, "series", "euler4", "--trunc", "60")
+    code, out, _ = run_cli(capsys, "series", "euler4", "--trunc", "60", "--mod", "7")
+    assert code == 0
+    rows = (line.split(",") for line in integer.splitlines()[1:])
+    assert out.splitlines() == ["#series v1 ring=Zmod:7 trunc=60"] + [
+        f"{d},{int(c) % 7}" for d, c in rows
+    ]
+
+
 def test_series_double_sum(capsys):
     _, out, _ = run_cli(capsys, "series", "double-sum", "--trunc", "3")
     # x * (1 - 4x + 2x^2 - ...) through degree 3
