@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from itertools import islice
-from operator import itemgetter, le, neg
+from operator import index, itemgetter, le, neg
 
 TABLE_HEADER = "#partition-table v1"
 _HEADER_LINE = TABLE_HEADER.encode("ascii") + b"\n"
@@ -122,6 +122,7 @@ class ModCountTable(CountTable):
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
+        modulus = index(modulus)  # a float modulus raises TypeError
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
@@ -147,7 +148,10 @@ def partition_count(n: int, table: CountTable | None = None) -> int:
 
 
 def _mod_table(modulus: int) -> ModCountTable:
-    # ModCountTable rejects a bad modulus before anything is stored.
+    # ModCountTable rejects a bad modulus before anything is stored.  The
+    # key goes through index() first: 5.0 hashes like 5 and would fetch
+    # the mod-5 table.
+    modulus = index(modulus)
     t = _MOD_TABLES.get(modulus)
     if t is None:
         t = _MOD_TABLES[modulus] = ModCountTable(modulus)

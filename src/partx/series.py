@@ -12,16 +12,25 @@ b_0 = 1/a_0, b_i = -(1/a_0) * sum_{j=1..i} a_j b_{i-j}, summed over the
 nonzero a_j only.
 
 The named constructors build the partition generating series: the Euler
-product prod_{n>=1} (1 - x^n), its inverse (whose coefficients are P(m)),
-the occurrence-count series for a fixed part k (coefficients Q_k(m)), and
-the shifted two-index expansion of x * (Euler product)^4.
+product E = prod_{n>=1} (1 - x^n), its inverse (whose coefficients are
+P(m)), the occurrence-count series for a fixed part k (coefficients
+Q_k(m)), and the shifted two-index expansion of x * E^4.
+
+E comes from its logarithmic derivative.  log E = sum_n log(1 - x^n) and
+x * d/dx log(1 - x^n) = -sum_{k>=1} n * x^(nk), so
+x * E'/E = -sum_{m>=1} sigma(m) x^m, where sigma(m) is the sum of the
+divisors of m, and n * e_n = -sum_{j<n} sigma(n - j) * e_j.  The
+recurrence follows from the definition of E alone and reads no pentagonal
+number, so P(m) read off 1/E does not rest on the pentagonal theorem.  The
+kernel skips the e_j it finds to be zero, but assumes nothing about where
+they lie.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice, repeat
-from operator import add, index, mul, neg, sub
+from itertools import accumulate, islice, repeat
+from operator import add, index, mul, neg
 from typing import Iterable
 
 SERIES_HEADER = "#series v1"
@@ -55,14 +64,23 @@ def _truncated_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
+def _check_modulus(modulus: int | None) -> int | None:
+    """The modulus as an int (None for Z); a float or a modulus < 2 raises."""
+    if modulus is None:
+        return None
+    modulus = index(modulus)
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    return modulus
+
+
 class PowerSeries:
     """Immutable truncated series over Z or Z/m."""
 
     __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs: Iterable[int], modulus: int | None = None):
-        if modulus is not None and modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        modulus = _check_modulus(modulus)
         coeffs = tuple(map(index, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
@@ -163,20 +181,42 @@ class PowerSeries:
         return PowerSeries._make(b, m)
 
 
+def _divisor_sums(trunc: int) -> list[int]:
+    """sigma(m), the sum of the divisors of m, for m = 0..trunc (sigma(0) = 0)."""
+    sigma = [0] * (trunc + 1)
+    for d in range(1, trunc + 1):  # d divides d, 2d, 3d, ...
+        sigma[d::d] = map(add, sigma[d::d], repeat(d))
+    return sigma
+
+
 def euler_product(trunc: int, modulus: int | None = None) -> PowerSeries:
     """prod_{n>=1} (1 - x^n) through degree ``trunc``.
 
-    Factors with n > trunc cannot touch degrees <= trunc, so the product
-    is finite; the surviving coefficients follow the pentagonal pattern.
+    The coefficients e_n come from the logarithmic derivative of the
+    product: x * E' = -E * sum_{m>=1} sigma(m) x^m, so
+    n * e_n = -sum_{j<n} sigma(n - j) * e_j.  Once e_j is known and found
+    nonzero, its terms sigma(n - j) * e_j are added to every later sum at
+    once; a zero e_j costs nothing.  The work is O(trunc) per nonzero
+    coefficient, a sparsity observed as the recurrence runs, not assumed
+    from the pentagonal theorem.  Each division by n must be exact, and a
+    remainder raises.  Over Z/m the coefficients are computed over Z and
+    reduced at the end, since n need not be invertible mod m.
     """
     if trunc < 0:
         raise ValueError(f"trunc must be nonnegative, got {trunc}")
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    c = [0] * (trunc + 1)
-    c[0] = 1
-    for n in range(1, trunc + 1):  # times (1 - x^n): c[d] -= old c[d - n]
-        c[n:] = map(sub, c[n:], c[: trunc + 1 - n])
+    modulus = _check_modulus(modulus)
+    sigma = _divisor_sums(trunc)
+    # sums[n] gathers sum_{j<n} sigma(n - j) * e_j over the nonzero e_j
+    # found so far; e_0 = 1 contributes sigma(n) itself.
+    sums = sigma[:]
+    c = [1] + [0] * trunc
+    for n in range(1, trunc + 1):
+        e, rem = divmod(-sums[n], n)
+        if rem:
+            raise ArithmeticError(f"e_{n} = {-sums[n]}/{n} is not an integer")
+        if e:
+            c[n] = e
+            sums[n + 1 :] = map(add, sums[n + 1 :], map(mul, sigma[1 : trunc + 1 - n], repeat(e)))
     if modulus is not None:
         c = [v % modulus for v in c]
     return PowerSeries._make(c, modulus)
@@ -199,18 +239,21 @@ def euler_product_pow(power: int, trunc: int, modulus: int | None = None) -> Pow
 def qk_generating_function(k: int, trunc: int, modulus: int | None = None) -> PowerSeries:
     """Series whose coefficient of x^m is Q_k(m).
 
-    Built as (x^k + x^{2k} + x^{3k} + ...) * prod 1/(1 - x^n), i.e.
-    x^k/(1 - x^k) times the partition-count series.
+    G_k = x^k/(1 - x^k) * F, F = prod 1/(1 - x^n) the partition-count
+    series.  Dividing by (1 - x^k) is a running sum along each residue
+    class mod k: G_k[d] = F[d - k] + G_k[d - k].
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
     if trunc < k:
         raise ValueError(f"trunc must be >= k, got trunc={trunc} < k={k}")
-    tail = [0] * (trunc + 1)
-    for d in range(k, trunc + 1, k):
-        tail[d] = 1
-    geometric = PowerSeries(tail, modulus)
-    return geometric * euler_inverse_product(trunc, modulus)
+    f = euler_inverse_product(trunc, modulus).coeffs
+    g = [0] * (trunc + 1)
+    for r in range(k):
+        g[r + k :: k] = accumulate(f[r : trunc + 1 - k : k])
+    if modulus is not None:
+        g = [v % modulus for v in g]
+    return PowerSeries._make(g, modulus)
 
 
 def double_sum_expansion(trunc: int) -> PowerSeries:

@@ -178,6 +178,19 @@ def test_partition_count_mod_rejects_small_modulus(modulus):
     assert modulus not in counting._MOD_TABLES
 
 
+def test_partition_count_mod_rejects_float_modulus():
+    # 5.0 hashes like 5, so it must not fetch the mod-5 table once it exists.
+    assert partition_count_mod(10, 5) == 2
+    for modulus in (2.5, 5.0):
+        with pytest.raises(TypeError):
+            partition_count_mod(10, modulus)
+        with pytest.raises(TypeError):
+            occurrence_count_mod(5, 10, modulus)
+        with pytest.raises(TypeError):
+            counting.ModCountTable(modulus)
+    assert 2.5 not in counting._MOD_TABLES
+
+
 def test_occurrence_count_mod():
     for n in (14, 24, 49):
         assert occurrence_count_mod(5, n, 25) == occurrence_count(5, n) % 25

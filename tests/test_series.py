@@ -1,6 +1,7 @@
 import ast
 import inspect
 from math import gcd
+from operator import sub
 from random import Random
 
 import pytest
@@ -35,6 +36,14 @@ def naive_euler_product(trunc):
     for n in range(1, trunc + 1):
         acc = [acc[d] - (acc[d - n] if d >= n else 0) for d in range(trunc + 1)]
     return acc
+
+
+def slice_map_euler_product(trunc):
+    """prod (1 - x^n), one factor per slice map: c[d] -= old c[d - n] for d >= n."""
+    c = [1] + [0] * trunc
+    for n in range(1, trunc + 1):
+        c[n:] = map(sub, c[n:], c[: trunc + 1 - n])
+    return c
 
 
 def naive_inverse(a, modulus):
@@ -134,11 +143,12 @@ def test_euler_product_pentagonal_pattern():
     assert list(euler_product(12).coeffs) == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
 
-def test_bad_modulus_rejected_before_the_product(monkeypatch):
-    def no_product(*args):
-        raise AssertionError("the product ran before the modulus was checked")
+def no_product(*args):
+    raise AssertionError("the product ran before the modulus was checked")
 
-    monkeypatch.setattr(series, "sub", no_product)
+
+def test_bad_modulus_rejected_before_the_product(monkeypatch):
+    monkeypatch.setattr(series, "_divisor_sums", no_product)
     builders = [
         lambda: euler_product(6000, 1),
         lambda: euler_inverse_product(6000, 1),
@@ -148,6 +158,46 @@ def test_bad_modulus_rejected_before_the_product(monkeypatch):
     for build in builders:
         with pytest.raises(ValueError, match="modulus must be >= 2"):
             build()
+
+
+def test_float_modulus_rejected(monkeypatch):
+    # An exact series takes no float modulus, not even 5.0.
+    monkeypatch.setattr(series, "_divisor_sums", no_product)
+    for modulus in (2.5, 5.0):
+        with pytest.raises(TypeError):
+            PowerSeries([3, 4], modulus)
+        with pytest.raises(TypeError):
+            euler_product(4, modulus)
+        with pytest.raises(TypeError):
+            qk_generating_function(5, 10, modulus)
+
+
+def test_divisor_sums():
+    expected = [0] + [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(1, 201)]
+    assert series._divisor_sums(200) == expected
+    assert series._divisor_sums(0) == [0]
+
+
+def test_euler_product_refuses_an_inexact_division(monkeypatch):
+    # A wrong divisor sum makes some n * e_n indivisible by n; the
+    # recurrence must say so rather than floor.
+    sums = series._divisor_sums
+
+    def off_by_one(trunc):
+        sigma = sums(trunc)
+        sigma[2] += 1
+        return sigma
+
+    monkeypatch.setattr(series, "_divisor_sums", off_by_one)
+    with pytest.raises(ArithmeticError, match="e_2 = -3/2 is not an integer"):
+        euler_product(10)
+
+
+@pytest.mark.parametrize("modulus", [None, 5, 125])
+def test_euler_product_matches_slice_map_product(modulus):
+    trunc = 1500
+    assert list(euler_product(trunc, modulus).coeffs) == reduced(slice_map_euler_product(trunc),
+                                                                modulus)
 
 
 def test_euler_times_its_inverse_is_one():
@@ -189,6 +239,18 @@ def test_qk_matches_occurrence_counts():
         gk = qk_generating_function(k, trunc)
         for m in range(trunc + 1):
             assert gk[m] == counting.occurrence_count(k, m), (k, m)
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 125])
+def test_qk_running_sums_match_occurrence_counts(modulus):
+    trunc = 600
+    for k in range(1, 13):
+        expected = reduced([counting.occurrence_count(k, d) for d in range(trunc + 1)], modulus)
+        assert list(qk_generating_function(k, trunc, modulus).coeffs) == expected, k
+    # k = trunc: the only occurrence is the one-part partition (trunc).
+    edge = qk_generating_function(trunc, trunc, modulus).coeffs
+    assert edge == (0,) * trunc + (1,)
+    assert qk_generating_function(1, 1, modulus).coeffs == (0, 1)
 
 
 def test_qk_identity_algebra():
