@@ -19,12 +19,15 @@ makes the oracle an independent route for the closed forms in
 :mod:`partx.counting` and the series in :mod:`partx.series`; this module
 imports neither.
 
+The coin-change tables grow geometrically up to the cap below; the
+statistics of an n are read off them when first asked for and memoized.
 Listings and the oracle are capped at n <= :data:`DEFAULT_ENUMERATION_LIMIT`
 (80); the closed forms have no such cap.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, NamedTuple
 
 DEFAULT_ENUMERATION_LIMIT = 80
@@ -91,74 +94,45 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
             free -= chunk
 
 
-class _Oracle:
-    """Coin-change tables for every n up to ``size``, and the statistics read off them.
-
-    ``p[m]`` is P(m), by the knapsack over every part size.  ``avoid[v][m]``
-    is A_v(m), the partitions of m with no part v, by the same knapsack
-    with coin v left out; A_v(n - j*v) therefore counts the partitions of
-    n in which v occurs exactly j times, and every statistic is a sum of
-    those.  Nothing here uses the pentagonal theorem, so the oracle stays
-    independent of :mod:`partx.counting`.  ``stats[n]`` holds the shared,
-    read-only :class:`PartitionStats` of each n.
-    """
-
-    __slots__ = ("size", "p", "avoid", "stats")
-
-    def __init__(self):
-        self.size = 0
-        self.p = [1]
-        self.avoid: list[list[int]] = [[]]
-        self.stats: list[PartitionStats | None] = [None]
-
-    def grow(self, size: int) -> None:
-        """Rebuild the tables to cover 0..size; keep the stats already made."""
-        ways = [1] + [0] * size
-        avoid: list[list[int]] = [[]]  # index 0 unused: parts are positive
-        for v in range(1, size + 1):
-            # ways covers coins 1..v-1 here; A_v adds the coins above v.
-            without = ways[:]
-            for c in range(v + 1, size + 1):
-                for m in range(c, size + 1):
-                    without[m] += without[m - c]
-            avoid.append(without)
-            for m in range(v, size + 1):
-                ways[m] += ways[m - v]
-        self.size, self.p, self.avoid = size, ways, avoid
-        self.stats.extend(self._stats(n) for n in range(len(self.stats), size + 1))
-
-    def _stats(self, n: int) -> PartitionStats:
-        total = self.p[n]
-        occurrences: dict[int, int] = {}
-        containing: dict[int, int] = {}
-        for k in range(1, n + 1):
-            without = self.avoid[k]
-            occurrences[k] = sum(j * without[n - j * k] for j in range(1, n // k + 1))
-            containing[k] = total - without[n]
-        return PartitionStats(
-            n=n,
-            partition_count=total,
-            distinct_member_total=sum(containing.values()),
-            occurrence_counts=occurrences,
-            containing_counts=containing,
-        )
-
+# Coin-change tables up to the table size: _p[m] is P(m), by the knapsack over
+# every part size, and _avoid[v][m] is A_v(m), by the same knapsack with coin
+# v left out (index 0 unused).  A_v(n - j*v) counts the partitions of n in
+# which v occurs exactly j times, and every statistic is a sum of those.
+_p = [1]
+_avoid: list[list[int]] = [[]]
 
 # Smallest table the oracle builds, so that a sweep over small n builds once.
 _MIN_ORACLE_SIZE = 32
 
-_oracle = _Oracle()
 
+def _grow_tables(n: int) -> None:
+    """Rebuild _p and _avoid to cover n, unless they already do.
 
-def _oracle_covering(n: int) -> _Oracle:
-    # Geometric growth capped at the limit: a sweep over increasing n
-    # rebuilds the tables a logarithmic number of times, not once per n.
+    Geometric growth capped at the limit: a sweep over increasing n rebuilds
+    the tables a logarithmic number of times, not once per n.  A_v(m) does
+    not depend on the size, so what was read off a smaller table stays right.
+    """
     _check_enumerable(n)
-    if n > _oracle.size:
-        _oracle.grow(min(DEFAULT_ENUMERATION_LIMIT, max(n, 2 * _oracle.size, _MIN_ORACLE_SIZE)))
-    return _oracle
+    size = len(_p) - 1
+    if n <= size:
+        return
+    size = min(DEFAULT_ENUMERATION_LIMIT, max(n, 2 * size, _MIN_ORACLE_SIZE))
+    ways = [1] + [0] * size
+    avoid: list[list[int]] = [[]]
+    for v in range(1, size + 1):
+        # ways covers coins 1..v-1 here; A_v adds the coins above v.
+        without = ways[:]
+        for c in range(v + 1, size + 1):
+            for m in range(c, size + 1):
+                without[m] += without[m - c]
+        avoid.append(without)
+        for m in range(v, size + 1):
+            ways[m] += ways[m - v]
+    _p[:] = ways
+    _avoid[:] = avoid
 
 
+@cache
 def oracle_stats(n: int) -> PartitionStats:
     """P(n), S(n) and all Q_k(n), R_k(n), counted from the definitions.
 
@@ -168,10 +142,26 @@ def oracle_stats(n: int) -> PartitionStats:
     * R_k(n) = P(n) - A_k(n)
     * S(n)   = sum over k of R_k(n)
 
-    Results are memoized per n, since the verification sweeps revisit the
-    same n many times.  Treat the returned object as read-only.
+    The statistics of an n are computed when it is first asked for and
+    memoized, since the verification sweeps revisit the same n many times;
+    the tables under them grow geometrically up to the limit.  Treat the
+    returned object as read-only.
     """
-    return _oracle_covering(n).stats[n]
+    _grow_tables(n)
+    total = _p[n]
+    occurrences: dict[int, int] = {}
+    containing: dict[int, int] = {}
+    for k in range(1, n + 1):
+        without = _avoid[k]
+        occurrences[k] = sum(j * without[n - j * k] for j in range(1, n // k + 1))
+        containing[k] = total - without[n]
+    return PartitionStats(
+        n=n,
+        partition_count=total,
+        distinct_member_total=sum(containing.values()),
+        occurrence_counts=occurrences,
+        containing_counts=containing,
+    )
 
 
 def elder_count(n: int, k: int) -> int:
@@ -183,7 +173,7 @@ def elder_count(n: int, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    avoid = _oracle_covering(n).avoid
+    _grow_tables(n)
     return sum(
-        avoid[v][n - m * v] for v in range(1, n // k + 1) for m in range(k, n // v + 1)
+        _avoid[v][n - m * v] for v in range(1, n // k + 1) for m in range(k, n // v + 1)
     )

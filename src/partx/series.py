@@ -3,6 +3,8 @@
 Coefficients live in the integers (``modulus=None``) or in the integers
 mod m.  A series of truncation degree N stores coefficients for x^0..x^N;
 every operation is exact through degree N and drops anything above it.
+Every series is made by the :class:`PowerSeries` constructor, the one place
+where coefficients are checked and reduced mod m.
 Multiplication is by Kronecker substitution: both factors are packed into
 one integer each, with a slot per coefficient wide enough for any
 coefficient of the product, multiplied once as integers and unpacked; over
@@ -75,7 +77,10 @@ def _check_modulus(modulus: int | None) -> int | None:
 
 
 class PowerSeries:
-    """Immutable truncated series over Z or Z/m."""
+    """Immutable truncated series over Z or Z/m.
+
+    The constructor, the only way a series is made, checks and reduces mod m.
+    """
 
     __slots__ = ("coeffs", "modulus")
 
@@ -88,14 +93,6 @@ class PowerSeries:
             coeffs = tuple(c % modulus for c in coeffs)
         self.coeffs = coeffs
         self.modulus = modulus
-
-    @classmethod
-    def _make(cls, coeffs, modulus) -> "PowerSeries":
-        # Internal: coefficients are already reduced.
-        s = object.__new__(cls)
-        s.coeffs = tuple(coeffs)
-        s.modulus = modulus
-        return s
 
     @classmethod
     def one(cls, trunc: int, modulus: int | None = None) -> "PowerSeries":
@@ -131,24 +128,17 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_compat(other)
-        values = _truncated_product(self.coeffs, other.coeffs)
-        if self.modulus is not None:
-            values = [v % self.modulus for v in values]
-        return PowerSeries._make(values, self.modulus)
+        return PowerSeries(_truncated_product(self.coeffs, other.coeffs), self.modulus)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = PowerSeries.one(self.trunc, self.modulus)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if exponent < 2:
+            return self if exponent else PowerSeries.one(self.trunc, self.modulus)
+        # Square and multiply down to self ** 1: no product is spent on the unit.
+        half = self ** (exponent >> 1)
+        square = half * half
+        return square * self if exponent & 1 else square
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse through the truncation degree."""
@@ -178,7 +168,7 @@ class PowerSeries:
             used = bisect_right(offsets, i, key=neg)
             v = -inv0 * sum(map(mul, islice(weights, used), map(at, islice(offsets, used))))
             b.append(v % m if m is not None else v)
-        return PowerSeries._make(b, m)
+        return PowerSeries(b, m)
 
 
 def _divisor_sums(trunc: int) -> list[int]:
@@ -217,9 +207,7 @@ def euler_product(trunc: int, modulus: int | None = None) -> PowerSeries:
         if e:
             c[n] = e
             sums[n + 1 :] = map(add, sums[n + 1 :], map(mul, sigma[1 : trunc + 1 - n], repeat(e)))
-    if modulus is not None:
-        c = [v % modulus for v in c]
-    return PowerSeries._make(c, modulus)
+    return PowerSeries(c, modulus)
 
 
 def euler_inverse_product(trunc: int, modulus: int | None = None) -> PowerSeries:
@@ -251,9 +239,7 @@ def qk_generating_function(k: int, trunc: int, modulus: int | None = None) -> Po
     g = [0] * (trunc + 1)
     for r in range(k):
         g[r + k :: k] = accumulate(f[r : trunc + 1 - k : k])
-    if modulus is not None:
-        g = [v % modulus for v in g]
-    return PowerSeries._make(g, modulus)
+    return PowerSeries(g, modulus)
 
 
 def double_sum_expansion(trunc: int) -> PowerSeries:
@@ -261,32 +247,28 @@ def double_sum_expansion(trunc: int) -> PowerSeries:
 
     Accumulates (-1)^(mu+nu) * (2*mu + 1) * x^e over all mu >= 0 and all
     integers nu, where e = 1 + mu(mu+1)/2 + nu(3nu+1)/2, keeping e <= trunc.
-    nu runs 0, +1, -1, +2, -2, ...; the order is fixed for reproducibility
-    though integer addition makes it immaterial.
+    The pairs (nu(3nu+1)/2, (-1)^nu) are listed once, for
+    nu = 0, 1, -1, 2, -2, ... while nu = -t still fits; the order is fixed
+    for reproducibility though integer addition makes it immaterial.
     """
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
+    pentagonal = [(0, 1)]
+    t = 1
+    while 1 + t * (3 * t - 1) // 2 <= trunc:
+        sign = -1 if t & 1 else 1
+        pentagonal += [(t * (3 * t + 1) // 2, sign), (t * (3 * t - 1) // 2, sign)]
+        t += 1
     coeffs = [0] * (trunc + 1)
-    mu = 0
-    while True:
-        base = 1 + mu * (mu + 1) // 2
-        if base > trunc:
-            break
-        weight = (2 * mu + 1) if mu % 2 == 0 else -(2 * mu + 1)
-        coeffs[base] += weight  # nu = 0
-        t = 1
-        while True:
-            e_neg = base + t * (3 * t - 1) // 2  # nu = -t
-            if e_neg > trunc:
-                break
-            sign = -1 if t & 1 else 1
-            e_pos = base + t * (3 * t + 1) // 2  # nu = +t
-            if e_pos <= trunc:
-                coeffs[e_pos] += weight * sign
-            coeffs[e_neg] += weight * sign
-            t += 1
+    mu, base = 0, 1  # base = 1 + mu(mu+1)/2
+    while base <= trunc:
+        weight = -(2 * mu + 1) if mu & 1 else 2 * mu + 1
+        for e, sign in pentagonal:
+            if base + e <= trunc:
+                coeffs[base + e] += weight * sign
         mu += 1
-    return PowerSeries._make(coeffs, None)
+        base += mu
+    return PowerSeries(coeffs)
 
 
 def _is_prime(m: int) -> bool:
@@ -305,21 +287,21 @@ def _is_prime(m: int) -> bool:
 
 
 def freshman_dream_check(m: int, trunc: int) -> bool:
-    """True iff (1 - x^m) / (1 - x)^m == 1 through ``trunc`` in Z/m.
+    """True iff (1 - x)^m == 1 - x^m through ``trunc`` in Z/m.
 
     Holds for every prime m (all inner binomial coefficients of (1 - x)^m
-    vanish mod m); non-prime m is rejected.
+    vanish mod m); non-prime m is rejected.  Both sides have constant term
+    1, so this is (1 - x^m) / (1 - x)^m == 1 without forming the inverse.
     """
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
     if not _is_prime(m):
         raise ValueError(f"m must be prime, got {m}")
     one_minus_x = PowerSeries([1, -1] + [0] * (trunc - 1), m)
-    numer = [1] + [0] * trunc
+    one_minus_xm = [1] + [0] * trunc
     if m <= trunc:
-        numer[m] = -1
-    lhs = PowerSeries(numer, m) * (one_minus_x ** m).inverse()
-    return lhs == PowerSeries.one(trunc, m)
+        one_minus_xm[m] = -1
+    return one_minus_x ** m == PowerSeries(one_minus_xm, m)
 
 
 def format_series(series: PowerSeries) -> str:

@@ -1,6 +1,10 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +153,35 @@ def test_partitions_imports_no_other_route():
             names.add(node.module or "")
             names.update(alias.name for alias in node.names)
     assert not {name.split(".")[-1] for name in names} & {"counting", "series"}, names
+
+
+def _oracle_reads(order: list[int]) -> list[str]:
+    """Table sizes, then the stats and elder counts of n = 1..80, asked in ``order``.
+
+    Runs in a fresh interpreter, where the oracle tables start empty.
+    """
+    src = str(Path(partitions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "from partx.partitions import _p, elder_count, oracle_stats\n"
+        "sizes, lines = [], {}\n"
+        f"for n in {order!r}:\n"
+        "    lines[n] = oracle_stats(n), [elder_count(n, k) for k in range(1, 5)]\n"
+        "    if not sizes or sizes[-1] != len(_p) - 1:\n"
+        "        sizes.append(len(_p) - 1)\n"
+        "print(*sizes)\n"
+        "for n in sorted(lines):\n"
+        "    print(*lines[n])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_oracle_memo_survives_table_growth():
+    ascending = _oracle_reads(list(range(1, 81)))
+    top_first = _oracle_reads([80] + list(range(1, 80)))
+    assert (ascending[0], top_first[0]) == ("32 64 80", "80")
+    assert len(ascending) == 81
+    assert ascending[1:] == top_first[1:]

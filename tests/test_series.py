@@ -286,6 +286,20 @@ def test_euler_product_pow_fourth_power():
     assert got[4] == -5
 
 
+@pytest.mark.parametrize("power, products",
+                         [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
+def test_power_spends_no_product_on_the_unit(monkeypatch, power, products):
+    expected = [1] + [0] * 50
+    for _ in range(power):
+        expected = naive_mul(expected, naive_euler_product(50), 50)
+    base = euler_product(50)
+    calls = []
+    real_mul = PowerSeries.__mul__
+    monkeypatch.setattr(PowerSeries, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
+    assert list((base ** power).coeffs) == expected
+    assert len(calls) == products
+
+
 def test_double_sum_smallest_term():
     assert double_sum_expansion(1).coeffs == (0, 1)
     with pytest.raises(ValueError):
@@ -293,9 +307,9 @@ def test_double_sum_smallest_term():
 
 
 def test_double_sum_equals_shifted_fourth_power():
-    trunc = 200
-    fourth = euler_product_pow(4, trunc).coeffs
-    assert double_sum_expansion(trunc).coeffs == (0,) + fourth[:-1]
+    for trunc in (1, 2, 5, 50, 200, 2500):
+        fourth = euler_product_pow(4, trunc).coeffs
+        assert double_sum_expansion(trunc).coeffs == (0,) + fourth[:-1], trunc
 
 
 def test_double_sum_multiples_of_five():
