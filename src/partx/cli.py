@@ -302,7 +302,7 @@ def _cmd_cache(args) -> int:
     table = counting.load_table(args.cache)
     bad = counting.consistency_check(table)
     if bad:
-        for n in bad:
+        for n in bad:  # the check grew the module table, so this reads its entries
             print(f"mismatch at n={n}: stored {table[n]}, recomputed "
                   f"{counting.partition_count(n)}")
         print(f"FAIL: {len(bad)} of {table.max_n + 1} entries are wrong")

@@ -20,7 +20,26 @@ next generalized pentagonal number, so the kernel builds one
 ``operator.itemgetter`` per sign for each such segment and computes every
 entry of the segment as two sums of its tuples.  A table of residues passes
 the kernel a modulus and carries the recurrence mod m for congruence sweeps
-at large n.  :func:`partition_sum` sums P over a range as one slice of a
+at large n.
+
+A residue table grows a block of B = 512 entries at a time instead, on a
+little-endian host, when the extension covers a whole block past
+P(0..B-1) and every slot of the block fits in 8 bytes: B * (m-1)^2 and m
+times the number of offsets are below 2^64, and the narrowest of 2, 4 or
+8 bytes that holds both is used.
+Each block [a, a+B) takes two C-level steps:
+
+* far terms: each offset g gives slot i the term P(a + i - g) for i < g,
+  all of them one ``int.from_bytes`` slice of a packed copy of the table;
+  the slices are summed as big integers, with the minus terms entered as
+  m - P so that no slot goes negative;
+* in-block terms: the block Y(x) = sum_i P(a+i) x^i and the far sums
+  F(x) satisfy E(x) * Y(x) = F(x) mod x^B, where E = 1 - x - x^2 + x^5 + ...
+  is the pentagonal series, so Y = F * P(x) mod x^B: one Kronecker product
+  of F reduced mod m with P(0..B-1) mod m, truncated to B slots.
+
+A bigint table, a wider modulus and an extension shorter than a block run
+the segment loop.  :func:`partition_sum` sums P over a range as one slice of a
 table grown once to the range's top; S and Q_k are such sums.  Residue
 tables are served by the same statistic functions: ``partition_count_mod``
 and ``occurrence_count_mod`` run ``partition_count`` and
@@ -30,8 +49,9 @@ and ``occurrence_count_mod`` run ``partition_count`` and
 from __future__ import annotations
 
 import os
+import sys
 from bisect import bisect_right
-from itertools import islice
+from itertools import islice, repeat
 from operator import index, itemgetter, le, neg
 
 TABLE_HEADER = "#partition-table v1"
@@ -51,6 +71,8 @@ class TableFormatError(ValueError):
 _PLUS: list[int] = []
 _MINUS: list[int] = []
 
+_BLOCK = 512  # residues computed together by the block step
+
 
 def _getter(offsets: list[int]):
     """A callable from a table to the tuple of its entries at ``offsets``."""
@@ -67,6 +89,20 @@ def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None
         j += 1
         g = (j * (3 * j - 1)) >> 1
         (plus if j & 1 else minus).extend((-g, -g - j))
+    if modulus is not None and new_max + 1 - max(len(values), _BLOCK) >= _BLOCK:
+        # A slot holds an in-block product sum, at most _BLOCK * (m - 1)^2,
+        # and a far sum, at most m per offset.
+        bound = max(_BLOCK * (modulus - 1) ** 2, (len(plus) + len(minus)) * modulus)
+        width = next((w for w in (2, 4, 8) if bound < 1 << 8 * w), None)
+        if width and sys.byteorder == "little":  # slots are read as native words
+            _segments(values, _BLOCK - 1, modulus)  # P(0..B-1) mod m enters every block
+            _blocks(values, new_max, modulus, width)
+    _segments(values, new_max, modulus)
+
+
+def _segments(values: list[int], new_max: int, modulus: int | None) -> None:
+    """Append entries up to ``new_max`` one at a time, a segment per itemgetter pair."""
+    plus, minus = _PLUS, _MINUS
     append = values.append
     m = len(values)
     while m <= new_max:
@@ -81,6 +117,43 @@ def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None
             total = sum(gp(values)) - sum(gm(values))
             append(total if modulus is None else total % modulus)
         m = stop
+
+
+def _blocks(values: list[int], new_max: int, modulus: int, width: int) -> None:
+    """Append whole blocks of _BLOCK residues while they fit up to ``new_max``.
+
+    The table is copied into ``width``-byte slots behind _BLOCK zero slots
+    (P of a negative argument), so one slice of the copy read by
+    ``int.from_bytes`` packs a run of residues, one to a slot.  A slice that
+    runs past the table's end packs zeros there.
+    """
+    from array import array  # here, so that only residue tables import it
+
+    code = {2: "H", 4: "I", 8: "Q"}[width]
+    size = _BLOCK
+    packed = array(code, bytes(width * size))
+    packed.extend(values)  # packed[size + i] holds P(i) mod m
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")
+    mask = (1 << 8 * width * size) - 1
+    low = int.from_bytes(packed[size:2 * size], "little")  # 1/E mod x^B
+
+    def far(view, a, offsets):
+        # Offset g puts P(a + i - g) in slot i; the slots i >= g are past the end.
+        slices = map(slice, map((a + size).__add__, offsets), map((a + 2 * size).__add__, offsets))
+        return sum(map(int.from_bytes, map(view.__getitem__, slices), repeat("little")))
+
+    start = len(values)
+    for a in range(start, start + (new_max + 1 - start) // size * size, size):
+        np = bisect_right(_PLUS, a + size - 1, key=neg)
+        nm = bisect_right(_MINUS, a + size - 1, key=neg)
+        with memoryview(packed) as view:  # released before the copy grows
+            # The minus terms go in as m - P, so that no slot goes below zero.
+            total = far(view, a, _PLUS[:np]) + nm * modulus * ones - far(view, a, _MINUS[:nm])
+        reduced = [v % modulus for v in array(code, total.to_bytes(width * size, "little"))]
+        total = int.from_bytes(array(code, reduced), "little") * low & mask
+        block = [v % modulus for v in array(code, total.to_bytes(width * size, "little"))]
+        values += block
+        packed.extend(block)
 
 
 class CountTable:
@@ -204,9 +277,18 @@ def distinct_members(n: int, table: CountTable | None = None) -> int:
 
 
 def consistency_check(table: CountTable) -> list[int]:
-    """Recompute the table from scratch; return the n whose entries differ."""
-    fresh = CountTable().extend(table.max_n)
-    return [n for n in range(table.max_n + 1) if table[n] != fresh[n]]
+    """Recompute the table's entries; return the n whose entries differ.
+
+    The entries are recomputed into the module's own table (only ever grown
+    by the recurrence), so :func:`partition_count` serves them afterwards
+    without a second run.
+    """
+    partition_count(table.max_n)
+    fresh = _TABLE._values
+    stored = table._values
+    if stored == fresh[:len(stored)]:
+        return []
+    return [n for n, (a, b) in enumerate(zip(stored, fresh)) if a != b]
 
 
 def save_table(table: CountTable, path) -> None:

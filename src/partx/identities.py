@@ -21,7 +21,8 @@ backends and oracle span.  ``both`` adds an oracle cross-check wherever the
 oracle route fits; ``elder`` runs on the oracle only.  The congruence checks
 (``ramanujan_p``, ``qk_congruence``) run on the all-residue recurrence only;
 their reports carry the residue as both lhs and rhs and pass exactly when it
-is 0.
+is 0.  A congruence sweep checks its arguments and then grows its residue
+table once, to its largest argument, before the first instance.
 """
 
 from __future__ import annotations
@@ -197,27 +198,36 @@ def verify_elder(n: int, k: int) -> IdentityReport:
     return IdentityReport("elder", {"n": n, "k": k}, lhs, rhs, lhs == rhs, ORACLE)
 
 
-def verify_ramanujan_p(family: int, n: int) -> IdentityReport:
-    """P(family*n + offset) == 0 mod family, for the 5, 7, 11 patterns."""
+def _ramanujan_argument(family: int, n: int) -> int:
+    """The argument family*n + offset of P, once family and n are checked."""
     if family not in RAMANUJAN_OFFSETS:
         raise ValueError(f"family must be one of {sorted(RAMANUJAN_OFFSETS)}, got {family}")
     _require_nonnegative(n, "n")
-    offset = RAMANUJAN_OFFSETS[family]
-    argument = family * n + offset
+    return family * n + RAMANUJAN_OFFSETS[family]
+
+
+def verify_ramanujan_p(family: int, n: int) -> IdentityReport:
+    """P(family*n + offset) == 0 mod family, for the 5, 7, 11 patterns."""
+    argument = _ramanujan_argument(family, n)
     residue = counting.partition_count_mod(argument, family)
     params = {"family": family, "n": n, "argument": argument, "modulus": family}
     return IdentityReport("ramanujan_p", params, residue, residue, residue == 0, CLOSED_FORM)
 
 
-def verify_qk_congruence(k: int, modulus: int, n: int) -> IdentityReport:
-    """Q_k(step*n + offset) == 0 mod modulus, for the supported (k, modulus) pairs."""
+def _qk_argument(k: int, modulus: int, n: int) -> int:
+    """The argument step*n + offset of Q_k, once the pattern and n are checked."""
     pattern = QK_CONGRUENCES.get((k, modulus))
     if pattern is None:
         supported = ", ".join(f"(k={a}, mod={b})" for a, b in sorted(QK_CONGRUENCES))
         raise ValueError(f"unsupported congruence (k={k}, mod={modulus}); supported: {supported}")
     _require_nonnegative(n, "n")
     step, offset = pattern
-    argument = step * n + offset
+    return step * n + offset
+
+
+def verify_qk_congruence(k: int, modulus: int, n: int) -> IdentityReport:
+    """Q_k(step*n + offset) == 0 mod modulus, for the supported (k, modulus) pairs."""
+    argument = _qk_argument(k, modulus, n)
     residue = counting.occurrence_count_mod(k, argument, modulus)
     params = {"k": k, "modulus": modulus, "n": n, "argument": argument}
     return IdentityReport("qk_congruence", params, residue, residue, residue == 0, CLOSED_FORM)
@@ -241,14 +251,16 @@ class Spec(NamedTuple):
     ``params`` names the verifier's positional arguments in order: ``n`` and
     ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole sweep.
     ``backends`` lists what the sweep accepts, the default first; a verifier
-    with a single route takes no backend argument.  ``oracle_span`` maps the
-    verifier's arguments to the largest n the oracle must cover.
+    with a single route takes no backend argument.  ``span`` maps the
+    verifier's arguments to the largest n it reads: the oracle must cover
+    it, and a congruence grows its residue table to it.  A congruence's
+    span checks the arguments as its verifier does.
     """
 
     verifier: Callable[..., IdentityReport]
     params: tuple[str, ...]
     backends: tuple[str, ...]
-    oracle_span: Callable[..., int] | None = None
+    span: Callable[..., int]
     family_hint: str = ""
 
     @property
@@ -268,9 +280,9 @@ SPECS = {
     "difference_identity": Spec(verify_difference_identity, ("n",), _ANY, lambda n: 5 * n + 9),
     "elder": Spec(verify_elder, ("n", "k"), (ORACLE,), lambda n, k: n),
     "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), (CLOSED_FORM,),
-                        family_hint="(5, 7 or 11)"),
+                        _ramanujan_argument, "(5, 7 or 11)"),
     "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), (CLOSED_FORM,),
-                          family_hint="(the part k)"),
+                          _qk_argument, "(the part k)"),
 }
 
 # Why an identity with a single route rejects every other backend.
@@ -343,7 +355,7 @@ def sweep(
         raise ValueError(f"{identity} does not take a k range")
 
     lead = tuple(fixed.values())
-    span = spec.oracle_span
+    span = spec.span
     fits = _ROUTES[ORACLE].fits
     if backend == ORACLE and not fits(top := span(*lead, n_hi, *k_tails[-1])):
         limit = partitions.DEFAULT_ENUMERATION_LIMIT
@@ -351,6 +363,13 @@ def sweep(
         raise ValueError(
             f"{identity} needs the oracle up to n={top}, beyond its limit of {limit}{hint}"
         )
+    if fixed:
+        # A congruence reads one residue table, mod its last fixed argument.
+        # The first instance's span raises any argument error the sweep
+        # would; then one extension, long enough for the block step, serves
+        # every instance.
+        span(*lead, n_lo)
+        counting.partition_count_mod(span(*lead, n_hi), lead[-1])
     # Keyword arguments of the verifier calls for one instance.
     if len(spec.backends) == 1:
         single = ({},)  # the verifier's one route is built in

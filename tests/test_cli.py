@@ -236,6 +236,31 @@ def test_verify_negative_range_reaches_the_verifier(capsys, argv, message):
     assert run_cli(capsys, "verify", *argv) == (2, "", f"partx: error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ramanujan-p", "--family", "5", "--n", "-3..2000"], "n must be nonnegative, got n=-3"),
+        (["qk-congruence", "--family", "5", "--n", "-1..400"], "n must be nonnegative, got n=-1"),
+        (["qk-congruence", "--family", "5", "--mod", "7", "--n", "0..2000"],
+         "unsupported congruence (k=5, mod=7); supported: (k=5, mod=5), (k=5, mod=25), "
+         "(k=5, mod=125), (k=7, mod=7), (k=11, mod=11)"),
+        (["ramanujan-p", "--family", "13", "--n", "-4..2000"],
+         "family must be one of [5, 7, 11], got 13"),
+        (["ramanujan-p", "--family", "5", "--n", "0..2000", "--k", "1..2"],
+         "ramanujan_p does not take a k range"),
+        (["qk-congruence", "--family", "5", "--n", "0..400", "--k", "1"],
+         "qk_congruence does not take a k range"),
+    ],
+)
+def test_verify_congruence_argument_errors_come_before_any_table(capsys, monkeypatch, argv,
+                                                                  message):
+    monkeypatch.setattr(counting, "_MOD_TABLES", {})
+    runs = []
+    monkeypatch.setattr(counting, "_extend", lambda *args: runs.append(args))
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"partx: error: {message}\n")
+    assert runs == [] and counting._MOD_TABLES == {}
+
+
 def test_verify_flag_after_range_flag_is_not_a_value(capsys):
     code, out, err = run_cli(capsys, "verify", "lemma2", "--n", "--k", "1")
     assert (code, out) == (2, "")
@@ -372,6 +397,27 @@ def test_cache_check_detects_tampering(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cache", "check", "--cache", str(path))
     assert code == 1
     assert "mismatch at n=4" in out
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_cache_check_runs_the_recurrence_once(capsys, tmp_path, monkeypatch, tamper):
+    path = tmp_path / "table.txt"
+    run_cli(capsys, "cache", "build", "--max", "300", "--cache", str(path))
+    value = counting.partition_count(290)
+    if tamper:
+        path.write_text(path.read_text().replace(f"\n290,{value}\n", f"\n290,{value + 1}\n"))
+    monkeypatch.setattr(counting, "_TABLE", counting.CountTable())  # nothing computed yet
+    runs = []
+    real_extend = counting._extend
+    monkeypatch.setattr(counting, "_extend", lambda *args: runs.append(args) or real_extend(*args))
+    code, out, err = run_cli(capsys, "cache", "check", "--cache", str(path))
+    if tamper:
+        assert (code, err) == (1, "")
+        assert out == (f"mismatch at n=290: stored {value + 1}, recomputed {value}\n"
+                       "FAIL: 1 of 301 entries are wrong\n")
+    else:
+        assert (code, out, err) == (0, "ok: 301 entries match the recurrence\n", "")
+    assert len(runs) == 1
 
 
 def test_cache_check_rejects_corrupt_file(capsys, tmp_path):

@@ -258,6 +258,52 @@ def test_kernel_segment_edges(monkeypatch):
             assert grown[modulus].extend(m).values == expected(modulus, m), (modulus, m)
 
 
+# P(0..1500) over Z, the reference for the residue tables below.
+REFERENCE = CountTable().extend(1500).values
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    block=st.integers(4, 40),
+    modulus=st.integers(2, 2**26) | st.integers(2**32, 2**80),
+    prefix=st.integers(0, 400),
+    targets=st.lists(st.integers(0, 1500), min_size=1, max_size=8),
+)
+def test_block_step_equals_the_bigint_table(block, modulus, prefix, targets):
+    # Small blocks cross many block edges cheaply.  A modulus of 2^32 or
+    # more fails the width rule at every block size here and must take the
+    # segment loop.
+    runs = []
+    real_blocks = counting._blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_BLOCK", block)
+        mp.setattr(counting, "_blocks", lambda *args: runs.append(args) or real_blocks(*args))
+        empty, partial = ModCountTable(modulus), ModCountTable(modulus).extend(prefix)
+        for i, top in enumerate(targets):
+            for table in (empty, partial) if i % 2 else (partial, empty):  # interleaved
+                table.extend(top)
+                assert table.values == [v % modulus for v in REFERENCE[:len(table)]], top
+    assert not (runs and modulus >= 2**32)
+
+
+@pytest.mark.parametrize("modulus, new_max, blocks", [
+    (5, 1022, False),  # 511 entries past P(0..511): less than a block
+    (5, 1023, True),
+    (5, 20120, True),
+    (2**27, 20120, True),  # 512 * (2^27 - 1)^2 < 2^64
+    (2**28, 20120, False),  # the width rule fails: the segment loop
+    (10**9 + 7, 20120, False),
+])
+def test_block_step_runs_where_its_rules_hold(monkeypatch, modulus, new_max, blocks):
+    runs = []
+    real_blocks = counting._blocks
+    monkeypatch.setattr(counting, "_blocks", lambda *args: runs.append(args) or real_blocks(*args))
+    table = ModCountTable(modulus).extend(new_max)
+    assert bool(runs) == blocks
+    sample = [*range(0, new_max, 997), new_max]
+    assert [table[n] for n in sample] == [partition_count(n) % modulus for n in sample]
+
+
 @pytest.mark.parametrize("indices", [
     range(0), range(1), range(10), range(3, 3), range(-5, 10, 2), range(-4, 10, 2),
     range(-5, -1), range(9, -7, -3), range(10, 0, -1), range(7, 300, 7), range(250, -1, -1),

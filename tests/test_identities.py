@@ -274,6 +274,24 @@ def test_sweep_errors():
         sweep("elder", (1, 5), (1, 3), backend=BOTH)
 
 
+@pytest.mark.parametrize("identity, n_range, family, modulus, top, ok", [
+    ("ramanujan_p", (0, 3000), 5, None, 15004, True),
+    ("ramanujan_p", (7, 1500), 11, None, 16506, True),
+    ("qk_congruence", (0, 2400), 5, None, 12004, True),
+    ("qk_congruence", (0, 40), 5, 25, 1024, False),  # the refuted pattern
+])
+def test_congruence_sweep_grows_its_residue_table_once(monkeypatch, identity, n_range, family,
+                                                       modulus, top, ok):
+    monkeypatch.setattr(counting, "_MOD_TABLES", {})
+    runs = []
+    real_extend = counting._extend
+    monkeypatch.setattr(counting, "_extend",
+                        lambda *args: runs.append(args[1:]) or real_extend(*args))
+    result = sweep(identity, n_range, family=family, modulus=modulus)
+    assert result.ok == ok and result.total_checked == n_range[1] - n_range[0] + 1
+    assert runs == [(top, modulus or family)]
+
+
 @pytest.mark.parametrize("backend", [ORACLE, BOTH, "series"])
 def test_sweep_congruences_take_only_closed_form(backend):
     with pytest.raises(ValueError, match="residue recurrence only"):
