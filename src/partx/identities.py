@@ -2,7 +2,7 @@
 
 Each identity is a relation between P, S, Q_k and R_k, written once in its
 ``verify_*`` function over a route: :data:`_ROUTES` maps each backend to a
-:class:`Route` of ``p``, ``p_sum``, ``s``, ``q``, ``r`` and ``fits``.
+:class:`Route` of statistics over Z and mod m, ``fits`` and ``prepare``.
 
 * ``closed_form`` reads the recurrence table of :mod:`partx.counting`.  S
   and Q_k are slice sums of that table, so stanley, lemma2, result1 and
@@ -19,10 +19,10 @@ does) reaches every statistic.
 every failing report.  :data:`SPECS` gives each identity's arguments,
 backends and oracle span.  ``both`` adds an oracle cross-check wherever the
 oracle route fits; ``elder`` runs on the oracle only.  The congruence checks
-(``ramanujan_p``, ``qk_congruence``) run on the all-residue recurrence only;
-their reports carry the residue as both lhs and rhs and pass exactly when it
-is 0.  A congruence sweep checks its arguments and then grows its residue
-table once, to its largest argument, before the first instance.
+(``ramanujan_p``, ``qk_congruence``) read residues off their route: the
+all-residue recurrence, or the oracle's exact counts reduced mod m.  Their
+reports carry the residue as both lhs and rhs and pass exactly when it is 0.
+A sweep checks its arguments, then calls its route's ``prepare`` once.
 """
 
 from __future__ import annotations
@@ -35,16 +35,9 @@ ORACLE = "oracle"
 CLOSED_FORM = "closed_form"
 BOTH = "both"
 
-RAMANUJAN_OFFSETS = {5: 4, 7: 5, 11: 6}
-
-# (k, modulus) -> (argument step, argument offset): Q_k(step*n + offset) mod modulus
-QK_CONGRUENCES = {
-    (5, 5): (5, 4),
-    (7, 7): (7, 5),
-    (11, 11): (11, 6),
-    (5, 25): (25, 24),
-    (5, 125): (125, 99),
-}
+# The supported patterns, P mod m for a family m and Q_k mod m for a pair (k, m).
+RAMANUJAN_FAMILIES = (5, 7, 11)
+QK_CONGRUENCES = ((5, 5), (7, 7), (11, 11), (5, 25), (5, 125))
 
 
 class IdentityReport(NamedTuple):
@@ -90,14 +83,21 @@ def _require_nonnegative(value: int, name: str) -> None:
 
 
 class Route(NamedTuple):
-    """One way to compute the statistics; ``fits(top)`` says whether it reaches n = top."""
+    """One way to compute the statistics, over Z and (``p_mod``, ``q_mod``) mod m.
+
+    ``fits(top)`` says whether it reaches n = top.  ``prepare(top, modulus)``
+    readies it for a sweep up to n = top, mod ``modulus`` (None: over Z).
+    """
 
     p: Callable[[int], int]
     p_sum: Callable[[range], int]
     s: Callable[[int], int]
     q: Callable[[int, int], int]
     r: Callable[[int, int], int]
+    p_mod: Callable[[int, int], int]
+    q_mod: Callable[[int, int, int], int]
     fits: Callable[[int], bool]
+    prepare: Callable[[int, int | None], object]
 
 
 class _Routes(dict):
@@ -118,7 +118,11 @@ _ROUTES = _Routes({
         s=lambda n: counting.distinct_members(n),
         q=lambda k, n: counting.occurrence_count(k, n),
         r=lambda k, n: counting.count_containing(k, n),
+        p_mod=lambda n, m: counting.partition_count_mod(n, m),
+        q_mod=lambda k, n, m: counting.occurrence_count_mod(k, n, m),
         fits=lambda top: True,
+        # One residue extension serves a whole congruence sweep; P over Z grows per instance.
+        prepare=lambda top, m: m is None or counting.partition_count_mod(top, m),
     ),
     ORACLE: Route(
         p=_oracle_p,
@@ -126,7 +130,10 @@ _ROUTES = _Routes({
         s=lambda n: partitions.oracle_stats(n).distinct_member_total,
         q=lambda k, n: partitions.oracle_stats(n).occurrences(k),
         r=lambda k, n: partitions.oracle_stats(n).containing(k),
+        p_mod=lambda n, m: _oracle_p(n) % m,
+        q_mod=lambda k, n, m: partitions.oracle_stats(n).occurrences(k) % m,
         fits=lambda top: top <= partitions.DEFAULT_ENUMERATION_LIMIT,
+        prepare=lambda top, m: None,
     ),
 })
 
@@ -194,43 +201,47 @@ def verify_elder(n: int, k: int) -> IdentityReport:
     _require_positive(n, "n")
     _require_positive(k, "k")
     lhs = partitions.elder_count(n, k)
-    rhs = partitions.oracle_stats(n).occurrences(k)
+    rhs = _ROUTES[ORACLE].q(k, n)
     return IdentityReport("elder", {"n": n, "k": k}, lhs, rhs, lhs == rhs, ORACLE)
 
 
-def _ramanujan_argument(family: int, n: int) -> int:
-    """The argument family*n + offset of P, once family and n are checked."""
-    if family not in RAMANUJAN_OFFSETS:
-        raise ValueError(f"family must be one of {sorted(RAMANUJAN_OFFSETS)}, got {family}")
+def _argument(modulus: int, n: int) -> int:
+    """The argument modulus*n + d, where 24d == 1 (mod modulus), once n is checked."""
     _require_nonnegative(n, "n")
-    return family * n + RAMANUJAN_OFFSETS[family]
+    return modulus * n + pow(24, -1, modulus)
 
 
-def verify_ramanujan_p(family: int, n: int) -> IdentityReport:
-    """P(family*n + offset) == 0 mod family, for the 5, 7, 11 patterns."""
+def _ramanujan_argument(family: int, n: int) -> int:
+    """The argument of P, once family and n are checked."""
+    if family not in RAMANUJAN_FAMILIES:
+        raise ValueError(f"family must be one of {sorted(RAMANUJAN_FAMILIES)}, got {family}")
+    return _argument(family, n)
+
+
+def verify_ramanujan_p(family: int, n: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """P(family*n + d) == 0 mod family, for the 5, 7, 11 patterns."""
     argument = _ramanujan_argument(family, n)
-    residue = counting.partition_count_mod(argument, family)
+    residue = _ROUTES[backend].p_mod(argument, family)
     params = {"family": family, "n": n, "argument": argument, "modulus": family}
-    return IdentityReport("ramanujan_p", params, residue, residue, residue == 0, CLOSED_FORM)
+    return IdentityReport("ramanujan_p", params, residue, residue, residue == 0, backend)
 
 
 def _qk_argument(k: int, modulus: int, n: int) -> int:
-    """The argument step*n + offset of Q_k, once the pattern and n are checked."""
-    pattern = QK_CONGRUENCES.get((k, modulus))
-    if pattern is None:
+    """The argument of Q_k, once the pattern and n are checked."""
+    if (k, modulus) not in QK_CONGRUENCES:
         supported = ", ".join(f"(k={a}, mod={b})" for a, b in sorted(QK_CONGRUENCES))
         raise ValueError(f"unsupported congruence (k={k}, mod={modulus}); supported: {supported}")
-    _require_nonnegative(n, "n")
-    step, offset = pattern
-    return step * n + offset
+    return _argument(modulus, n)
 
 
-def verify_qk_congruence(k: int, modulus: int, n: int) -> IdentityReport:
-    """Q_k(step*n + offset) == 0 mod modulus, for the supported (k, modulus) pairs."""
+def verify_qk_congruence(
+    k: int, modulus: int, n: int, backend: str = CLOSED_FORM
+) -> IdentityReport:
+    """Q_k(modulus*n + d) == 0 mod modulus, for the supported (k, modulus) pairs."""
     argument = _qk_argument(k, modulus, n)
-    residue = counting.occurrence_count_mod(k, argument, modulus)
+    residue = _ROUTES[backend].q_mod(k, argument, modulus)
     params = {"k": k, "modulus": modulus, "n": n, "argument": argument}
-    return IdentityReport("qk_congruence", params, residue, residue, residue == 0, CLOSED_FORM)
+    return IdentityReport("qk_congruence", params, residue, residue, residue == 0, backend)
 
 
 def verify_difference_identity(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
@@ -252,9 +263,8 @@ class Spec(NamedTuple):
     ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole sweep.
     ``backends`` lists what the sweep accepts, the default first; a verifier
     with a single route takes no backend argument.  ``span`` maps the
-    verifier's arguments to the largest n it reads: the oracle must cover
-    it, and a congruence grows its residue table to it.  A congruence's
-    span checks the arguments as its verifier does.
+    verifier's arguments to the largest n it reads, which the oracle must
+    cover; a congruence's span checks the arguments as its verifier does.
     """
 
     verifier: Callable[..., IdentityReport]
@@ -279,16 +289,10 @@ SPECS = {
     "result2": Spec(verify_result2, ("n", "k"), _ANY, lambda n, k: n),
     "difference_identity": Spec(verify_difference_identity, ("n",), _ANY, lambda n: 5 * n + 9),
     "elder": Spec(verify_elder, ("n", "k"), (ORACLE,), lambda n, k: n),
-    "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), (CLOSED_FORM,),
+    "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), _ANY,
                         _ramanujan_argument, "(5, 7 or 11)"),
-    "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), (CLOSED_FORM,),
+    "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), _ANY,
                           _qk_argument, "(the part k)"),
-}
-
-# Why an identity with a single route rejects every other backend.
-_SOLE_BACKEND = {
-    CLOSED_FORM: "is computed by the residue recurrence only; use the closed_form backend",
-    ORACLE: "has no closed form; use the oracle backend",
 }
 
 
@@ -328,7 +332,7 @@ def sweep(
         backend = spec.default_backend
     if backend not in spec.backends:
         if len(spec.backends) == 1:
-            raise ValueError(f"{identity} {_SOLE_BACKEND[spec.default_backend]}")
+            raise ValueError(f"{identity} has no closed form; use the oracle backend")
         raise ValueError(f"unknown backend {backend!r}")
 
     fixed = {}  # the verifier's leading arguments, the same for every instance
@@ -355,26 +359,21 @@ def sweep(
         raise ValueError(f"{identity} does not take a k range")
 
     lead = tuple(fixed.values())
+    modulus = fixed.get("mod", family)  # a congruence's modulus; None over Z
     span = spec.span
+    span(*lead, n_lo, *k_tails[0])  # raises any argument error the first instance would
+    top = span(*lead, n_hi, *k_tails[-1])
     fits = _ROUTES[ORACLE].fits
-    if backend == ORACLE and not fits(top := span(*lead, n_hi, *k_tails[-1])):
+    if backend == ORACLE and not fits(top):
         limit = partitions.DEFAULT_ENUMERATION_LIMIT
         hint = "; use the closed_form backend" if CLOSED_FORM in spec.backends else ""
         raise ValueError(
             f"{identity} needs the oracle up to n={top}, beyond its limit of {limit}{hint}"
         )
-    if fixed:
-        # A congruence reads one residue table, mod its last fixed argument.
-        # The first instance's span raises any argument error the sweep
-        # would; then one extension, long enough for the block step, serves
-        # every instance.
-        span(*lead, n_lo)
-        counting.partition_count_mod(span(*lead, n_hi), lead[-1])
-    # Keyword arguments of the verifier calls for one instance.
-    if len(spec.backends) == 1:
-        single = ({},)  # the verifier's one route is built in
-    else:
-        single = ({"backend": CLOSED_FORM if backend == BOTH else backend},)
+    route = CLOSED_FORM if backend == BOTH else backend  # the route of every instance
+    _ROUTES[route].prepare(top, modulus)
+    # Keyword arguments of the verifier calls for one instance; a sole route is built in.
+    single = ({},) if len(spec.backends) == 1 else ({"backend": route},)
     crossed = single + ({"backend": ORACLE},) if backend == BOTH else None
 
     verifier = spec.verifier

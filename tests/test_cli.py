@@ -219,6 +219,11 @@ def test_verify_usage_errors(capsys):
         assert f"unknown identity {name!r}" in err and "extended-stanley, lemma1" in err
     code, _, err = run_cli(capsys, "verify", "stanley", "--n", "1..200", "--backend", "oracle")
     assert code == 2 and "closed_form" in err
+    code, out, err = run_cli(capsys, "verify", "ramanujan-p", "--family", "5", "--n", "0..16",
+                             "--backend", "oracle")
+    assert (code, out) == (2, "")
+    assert err == ("partx: error: ramanujan_p needs the oracle up to n=84, beyond its limit of "
+                   "80; use the closed_form backend\n")
     code, _, _ = run_cli(capsys, "verify", "stanley", "--n", "1..5", "--json", "--csv")
     assert code == 2
 
@@ -293,12 +298,27 @@ def test_parse_range_rejects_malformed(text):
     [
         ["ramanujan-p", "--family", "5", "--n", "0..3", "--backend", "oracle"],
         ["qk-congruence", "--family", "5", "--n", "0..3", "--backend", "both"],
+        ["ramanujan-p", "--family", "7", "--n", "0..10", "--backend", "both"],
+        ["ramanujan-p", "--family", "11", "--n", "0..6", "--backend", "oracle"],
     ],
 )
-def test_verify_congruence_rejects_other_backends(capsys, argv):
+def test_verify_congruence_runs_on_oracle_and_both(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
-    assert code == 2 and out == ""
-    assert "closed_form" in err
+    assert (code, err) == (0, "")
+    assert f"backend: {argv[-1]}" in out and out.endswith("failures: 0\nPASS\n")
+
+
+@pytest.mark.parametrize("backend, routes", [("oracle", ["oracle"]),
+                                             ("both", ["closed_form", "oracle"])])
+def test_verify_refuted_congruence_fails_on_every_route(capsys, backend, routes):
+    code, out, err = run_cli(capsys, "verify", "qk-congruence", "--family", "5", "--mod", "25",
+                             "--n", "0..2", "--backend", backend)
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("  FAIL")] == [
+        f"  FAIL k=5 modulus=25 n={n} argument={25 * n + 24} lhs={r} rhs={r} backend={route}"
+        for n, r in ((0, 10), (1, 20), (2, 20)) for route in routes
+    ]
+    assert out.splitlines()[-1] == "FAIL"
 
 
 @pytest.mark.parametrize("backend", ["both", "closed"])

@@ -268,6 +268,13 @@ def test_sweep_errors():
         sweep("lemma1", (1, 5), (1, 2), family=5)
     with pytest.raises(ValueError, match="needs the oracle up to n=200, beyond its limit"):
         sweep("stanley", (1, 200), backend=ORACLE)
+    with pytest.raises(ValueError, match="needs the oracle up to n=84, beyond its limit of 80"):
+        sweep("ramanujan_p", (0, 16), family=5, backend=ORACLE)
+    with pytest.raises(ValueError, match="needs the oracle up to n=99, beyond its limit of 80"):
+        sweep("qk_congruence", (0, 0), family=5, modulus=125, backend=ORACLE)
+    for identity in ("ramanujan_p", "qk_congruence"):
+        with pytest.raises(ValueError, match="unknown backend 'series'"):
+            sweep(identity, (0, 3), family=5, backend="series")
     with pytest.raises(ValueError, match="closed form"):
         sweep("elder", (1, 10), (1, 5), backend=CLOSED_FORM)
     with pytest.raises(ValueError, match="elder has no closed form; use the oracle backend"):
@@ -282,23 +289,50 @@ def test_sweep_errors():
 ])
 def test_congruence_sweep_grows_its_residue_table_once(monkeypatch, identity, n_range, family,
                                                        modulus, top, ok):
-    monkeypatch.setattr(counting, "_MOD_TABLES", {})
     runs = []
     real_extend = counting._extend
     monkeypatch.setattr(counting, "_extend",
                         lambda *args: runs.append(args[1:]) or real_extend(*args))
-    result = sweep(identity, n_range, family=family, modulus=modulus)
-    assert result.ok == ok and result.total_checked == n_range[1] - n_range[0] + 1
-    assert runs == [(top, modulus or family)]
+    seen = []
+    real_stats = partitions.oracle_stats
+    monkeypatch.setattr(partitions, "oracle_stats", lambda n: seen.append(n) or real_stats(n))
+    m = modulus or family
+    for backend in (None, BOTH):
+        monkeypatch.setattr(counting, "_MOD_TABLES", {})
+        runs.clear()
+        result = sweep(identity, n_range, family=family, modulus=modulus, backend=backend)
+        assert result.ok == ok and result.total_checked == n_range[1] - n_range[0] + 1
+        assert runs == [(top, m)]
+    # both asks the oracle once for each argument within its cap, and for no other
+    assert seen == list(range(m * n_range[0] + top % m, 81, m))
+    assert partitions.DEFAULT_ENUMERATION_LIMIT == 80
 
 
-@pytest.mark.parametrize("backend", [ORACLE, BOTH, "series"])
-def test_sweep_congruences_take_only_closed_form(backend):
-    with pytest.raises(ValueError, match="residue recurrence only"):
-        sweep("ramanujan_p", (0, 3), family=5, backend=backend)
-    with pytest.raises(ValueError, match="residue recurrence only"):
-        sweep("qk_congruence", (0, 3), family=5, backend=backend)
-    assert sweep("qk_congruence", (0, 3), family=5, backend=CLOSED_FORM).ok
+@pytest.mark.parametrize("backend", [ORACLE, BOTH])
+def test_sweep_congruences_run_on_every_backend(backend):
+    for family, n_hi in ((5, 15), (7, 10), (11, 6)):  # arguments 79, 75 and 72
+        result = sweep("ramanujan_p", (0, n_hi), family=family, backend=backend)
+        assert result.ok and result.backend == backend
+    refuted = sweep("qk_congruence", (0, 2), family=5, modulus=25, backend=backend)
+    routes = [ORACLE] if backend == ORACLE else [CLOSED_FORM, ORACLE]
+    assert [(f.backend, f.params["n"], f.lhs) for f in refuted.failures] == [
+        (route, n, lhs) for n, lhs in ((0, 10), (1, 20), (2, 20)) for route in routes
+    ]
+
+
+def test_closed_and_oracle_residues_agree_up_to_the_cap():
+    cases = [(verify_ramanujan_p, (m,)) for m in identities.RAMANUJAN_FAMILIES]
+    cases += [(verify_qk_congruence, pair) for pair in identities.QK_CONGRUENCES]
+    checked = 0
+    for verify, lead in cases:
+        for n in range(81):
+            closed = verify(*lead, n)
+            if closed.params["argument"] > partitions.DEFAULT_ENUMERATION_LIMIT:
+                break
+            oracle = verify(*lead, n, backend=ORACLE)
+            assert (oracle.lhs, oracle.params) == (closed.lhs, closed.params), (lead, n)
+            checked += 1
+    assert checked == 71
 
 
 def test_sweep_both_stops_the_oracle_at_its_cap(monkeypatch):
