@@ -272,9 +272,6 @@ def test_sweep_errors():
         sweep("ramanujan_p", (0, 16), family=5, backend=ORACLE)
     with pytest.raises(ValueError, match="needs the oracle up to n=99, beyond its limit of 80"):
         sweep("qk_congruence", (0, 0), family=5, modulus=125, backend=ORACLE)
-    for identity in ("ramanujan_p", "qk_congruence"):
-        with pytest.raises(ValueError, match="unknown backend 'series'"):
-            sweep(identity, (0, 3), family=5, backend="series")
     with pytest.raises(ValueError, match="closed form"):
         sweep("elder", (1, 10), (1, 5), backend=CLOSED_FORM)
     with pytest.raises(ValueError, match="elder has no closed form; use the oracle backend"):
@@ -318,6 +315,15 @@ def test_sweep_congruences_run_on_every_backend(backend):
     assert [(f.backend, f.params["n"], f.lhs) for f in refuted.failures] == [
         (route, n, lhs) for n, lhs in ((0, 10), (1, 20), (2, 20)) for route in routes
     ]
+
+
+# congruences take the closed form, the oracle or both; any other backend is refused
+@pytest.mark.parametrize("backend", ["series"])
+def test_sweep_congruences_take_only_closed_form(backend):
+    for identity in ("ramanujan_p", "qk_congruence"):
+        with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
+            sweep(identity, (0, 3), family=5, backend=backend)
+    assert sweep("qk_congruence", (0, 3), family=5, backend=CLOSED_FORM).ok
 
 
 def test_closed_and_oracle_residues_agree_up_to_the_cap():
