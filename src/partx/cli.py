@@ -18,9 +18,6 @@ from .counting import CountTable, TableFormatError
 
 PARTITION_LIST_AUTO_MAX = 12
 
-# --backend values and the names of identities.py's backend constants.
-_BACKENDS = {"closed": "CLOSED_FORM", "oracle": "ORACLE", "both": "BOTH"}
-
 
 def _module(name: str):
     """The submodule ``name`` as this module's globals hold it, imported on first use.
@@ -235,7 +232,7 @@ def _cmd_verify(args) -> int:
         args.identity.replace("-", "_"),
         n_range,
         k_range=k_range,
-        backend=getattr(identities, _BACKENDS[args.backend]) if args.backend else None,
+        backend=identities.CLOSED_FORM if args.backend == "closed" else args.backend,
         family=args.family,
         modulus=args.mod,
     )
@@ -369,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", metavar="A..B", help="inclusive k range (or a single value)")
     p_verify.add_argument("--family", type=int, help="congruence family (5, 7 or 11)")
     p_verify.add_argument("--mod", type=int, help="modulus for qk-congruence (default: family)")
-    p_verify.add_argument("--backend", choices=sorted(_BACKENDS))
+    p_verify.add_argument("--backend", choices=["both", "closed", "oracle"])
     _add_format_flags(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -2,13 +2,13 @@
 
 Each identity is a relation between P, S, Q_k and R_k, written once in its
 ``verify_*`` function over a route: :data:`_ROUTES` maps each backend to a
-:class:`Route` of statistics over Z and mod m, ``fits`` and ``prepare``.
+:class:`Route` of statistics over Z and mod m, and ``prepare``.
 
 * ``closed_form`` reads the recurrence table of :mod:`partx.counting`.  S
   and Q_k are slice sums of that table, so stanley, lemma2, result1 and
   result2 compare a table slice, or entry, with itself here and cannot fail.
 * ``oracle`` counts from the definitions with the coin-change oracle of
-  :mod:`partx.partitions`, one call per term of a sum, and fits up to its
+  :mod:`partx.partitions`, one call per term of a sum, and reaches up to its
   ``DEFAULT_ENUMERATION_LIMIT``.  It is the independent check.
 
 The routes look ``counting`` and ``partitions`` up in this module's globals
@@ -17,8 +17,9 @@ does) reaches every statistic.
 
 :func:`sweep` runs a verifier over a rectangle of (n, k) values and collects
 every failing report.  :data:`SPECS` gives each identity's arguments,
-backends and oracle span.  ``both`` adds an oracle cross-check wherever the
-oracle route fits; ``elder`` runs on the oracle only.  The congruence checks
+default backend and oracle span.  ``both`` runs the closed form, then the
+oracle wherever the instance is within its reach; ``verify_elder`` refuses
+every route but the oracle.  The congruence checks
 (``ramanujan_p``, ``qk_congruence``) read residues off their route: the
 all-residue recurrence, or the oracle's exact counts reduced mod m.  Their
 reports carry the residue as both lhs and rhs and pass exactly when it is 0.
@@ -85,8 +86,8 @@ def _require_nonnegative(value: int, name: str) -> None:
 class Route(NamedTuple):
     """One way to compute the statistics, over Z and (``p_mod``, ``q_mod``) mod m.
 
-    ``fits(top)`` says whether it reaches n = top.  ``prepare(top, modulus)``
-    readies it for a sweep up to n = top, mod ``modulus`` (None: over Z).
+    ``prepare(top, modulus)`` readies it for a sweep up to n = top, mod
+    ``modulus`` (None: over Z).
     """
 
     p: Callable[[int], int]
@@ -96,7 +97,6 @@ class Route(NamedTuple):
     r: Callable[[int, int], int]
     p_mod: Callable[[int, int], int]
     q_mod: Callable[[int, int, int], int]
-    fits: Callable[[int], bool]
     prepare: Callable[[int, int | None], object]
 
 
@@ -120,7 +120,6 @@ _ROUTES = _Routes({
         r=lambda k, n: counting.count_containing(k, n),
         p_mod=lambda n, m: counting.partition_count_mod(n, m),
         q_mod=lambda k, n, m: counting.occurrence_count_mod(k, n, m),
-        fits=lambda top: True,
         # One residue extension serves a whole congruence sweep; P over Z grows per instance.
         prepare=lambda top, m: m is None or counting.partition_count_mod(top, m),
     ),
@@ -132,7 +131,6 @@ _ROUTES = _Routes({
         r=lambda k, n: partitions.oracle_stats(n).containing(k),
         p_mod=lambda n, m: _oracle_p(n) % m,
         q_mod=lambda k, n, m: partitions.oracle_stats(n).occurrences(k) % m,
-        fits=lambda top: top <= partitions.DEFAULT_ENUMERATION_LIMIT,
         prepare=lambda top, m: None,
     ),
 })
@@ -196,13 +194,16 @@ def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport
     return IdentityReport("result2", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
 
 
-def verify_elder(n: int, k: int) -> IdentityReport:
+def verify_elder(n: int, k: int, backend: str = ORACLE) -> IdentityReport:
     """Occasions a part occurs k or more times == Q_k(n).  Oracle only."""
     _require_positive(n, "n")
     _require_positive(k, "k")
+    at = _ROUTES[backend]
+    if backend != ORACLE:
+        raise ValueError("elder has no closed form; use the oracle backend")
     lhs = partitions.elder_count(n, k)
-    rhs = _ROUTES[ORACLE].q(k, n)
-    return IdentityReport("elder", {"n": n, "k": k}, lhs, rhs, lhs == rhs, ORACLE)
+    rhs = at.q(k, n)
+    return IdentityReport("elder", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
 
 
 def _argument(modulus: int, n: int) -> int:
@@ -261,38 +262,31 @@ class Spec(NamedTuple):
 
     ``params`` names the verifier's positional arguments in order: ``n`` and
     ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole sweep.
-    ``backends`` lists what the sweep accepts, the default first; a verifier
-    with a single route takes no backend argument.  ``span`` maps the
+    ``backend`` is the route a sweep takes when it names none: the closed
+    form, or the oracle for an identity without one.  ``span`` maps the
     verifier's arguments to the largest n it reads, which the oracle must
     cover; a congruence's span checks the arguments as its verifier does.
     """
 
     verifier: Callable[..., IdentityReport]
     params: tuple[str, ...]
-    backends: tuple[str, ...]
     span: Callable[..., int]
     family_hint: str = ""
+    backend: str = CLOSED_FORM
 
-    @property
-    def default_backend(self) -> str:
-        return self.backends[0]
-
-
-_ANY = (CLOSED_FORM, ORACLE, BOTH)
 
 SPECS = {
-    "stanley": Spec(verify_stanley, ("n",), _ANY, lambda n: n),
-    "extended_stanley": Spec(verify_extended_stanley, ("n", "k"), _ANY, lambda n, k: n + k - 1),
-    "lemma1": Spec(verify_lemma1, ("n", "k"), _ANY, lambda n, k: n + k),
-    "lemma2": Spec(verify_lemma2, ("n", "k"), _ANY, lambda n, k: n + k),
-    "result1": Spec(verify_result1, ("n",), _ANY, lambda n: n),
-    "result2": Spec(verify_result2, ("n", "k"), _ANY, lambda n, k: n),
-    "difference_identity": Spec(verify_difference_identity, ("n",), _ANY, lambda n: 5 * n + 9),
-    "elder": Spec(verify_elder, ("n", "k"), (ORACLE,), lambda n, k: n),
-    "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), _ANY,
-                        _ramanujan_argument, "(5, 7 or 11)"),
-    "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), _ANY,
-                          _qk_argument, "(the part k)"),
+    "stanley": Spec(verify_stanley, ("n",), lambda n: n),
+    "extended_stanley": Spec(verify_extended_stanley, ("n", "k"), lambda n, k: n + k - 1),
+    "lemma1": Spec(verify_lemma1, ("n", "k"), lambda n, k: n + k),
+    "lemma2": Spec(verify_lemma2, ("n", "k"), lambda n, k: n + k),
+    "result1": Spec(verify_result1, ("n",), lambda n: n),
+    "result2": Spec(verify_result2, ("n", "k"), lambda n, k: n),
+    "difference_identity": Spec(verify_difference_identity, ("n",), lambda n: 5 * n + 9),
+    "elder": Spec(verify_elder, ("n", "k"), lambda n, k: n, backend=ORACLE),
+    "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), _ramanujan_argument, "(5, 7 or 11)"),
+    "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), _qk_argument,
+                          "(the part k)"),
 }
 
 
@@ -318,10 +312,10 @@ def sweep(
 
     Reports are generated in (n, k) order and the sweep never stops early,
     so the failure list is complete and deterministic.  ``backend`` defaults
-    to the identity's own (``SPECS[identity].default_backend``), and the
-    result records the one that ran.  With the ``both`` backend each
-    instance runs the closed form, plus the oracle whenever the oracle
-    route fits the instance's oracle span.
+    to the identity's own (``SPECS[identity].backend``), and the result
+    records the one that ran.  Each instance runs on every route of the
+    backend in turn (``both``: the closed form, then the oracle), and on
+    the oracle only where its span is within the oracle's reach.
     """
     n_lo, n_hi = _check_range(n_range, "n")
     k_bounds = None if k_range is None else _check_range(k_range, "k")
@@ -329,11 +323,9 @@ def sweep(
     if spec is None:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
     if backend is None:
-        backend = spec.default_backend
-    if backend not in spec.backends:
-        if len(spec.backends) == 1:
-            raise ValueError(f"{identity} has no closed form; use the oracle backend")
-        raise ValueError(f"unknown backend {backend!r}")
+        backend = spec.backend
+    routes = [CLOSED_FORM, ORACLE] if backend == BOTH else [backend]
+    prepare = _ROUTES[routes[0]].prepare  # raises on an unknown backend
 
     fixed = {}  # the verifier's leading arguments, the same for every instance
     if "family" not in spec.params:
@@ -363,18 +355,13 @@ def sweep(
     span = spec.span
     span(*lead, n_lo, *k_tails[0])  # raises any argument error the first instance would
     top = span(*lead, n_hi, *k_tails[-1])
-    fits = _ROUTES[ORACLE].fits
-    if backend == ORACLE and not fits(top):
-        limit = partitions.DEFAULT_ENUMERATION_LIMIT
-        hint = "; use the closed_form backend" if CLOSED_FORM in spec.backends else ""
+    reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
+    if backend == ORACLE and top > reach:
+        hint = "; use the closed form (--backend closed)" if spec.backend == CLOSED_FORM else ""
         raise ValueError(
-            f"{identity} needs the oracle up to n={top}, beyond its limit of {limit}{hint}"
+            f"{identity} needs the oracle up to n={top}, beyond its limit of {reach}{hint}"
         )
-    route = CLOSED_FORM if backend == BOTH else backend  # the route of every instance
-    _ROUTES[route].prepare(top, modulus)
-    # Keyword arguments of the verifier calls for one instance; a sole route is built in.
-    single = ({},) if len(spec.backends) == 1 else ({"backend": route},)
-    crossed = single + ({"backend": ORACLE},) if backend == BOTH else None
+    prepare(top, modulus)
 
     verifier = spec.verifier
     failures: list[IdentityReport] = []
@@ -384,8 +371,10 @@ def sweep(
         for tail in k_tails:
             args = head + tail
             total += 1
-            for kwargs in crossed if crossed and fits(span(*args)) else single:
-                report = verifier(*args, **kwargs)
+            for route in routes:
+                if route == ORACLE and span(*args) > reach:
+                    continue
+                report = verifier(*args, backend=route)
                 if not report.passed:
                     failures.append(report)
     return SweepResult(identity, ", ".join(desc_parts), total, failures, backend)

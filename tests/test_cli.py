@@ -218,12 +218,12 @@ def test_verify_usage_errors(capsys):
         assert (code, out) == (2, "")
         assert f"unknown identity {name!r}" in err and "extended-stanley, lemma1" in err
     code, _, err = run_cli(capsys, "verify", "stanley", "--n", "1..200", "--backend", "oracle")
-    assert code == 2 and "closed_form" in err
+    assert code == 2 and "use the closed form (--backend closed)" in err
     code, out, err = run_cli(capsys, "verify", "ramanujan-p", "--family", "5", "--n", "0..16",
                              "--backend", "oracle")
     assert (code, out) == (2, "")
     assert err == ("partx: error: ramanujan_p needs the oracle up to n=84, beyond its limit of "
-                   "80; use the closed_form backend\n")
+                   "80; use the closed form (--backend closed)\n")
     code, _, _ = run_cli(capsys, "verify", "stanley", "--n", "1..5", "--json", "--csv")
     assert code == 2
 

@@ -154,9 +154,15 @@ def test_unknown_backend_rejected():
     for verifier, args in ((verify_stanley, (4,)), (verify_extended_stanley, (4, 2)),
                            (verify_lemma1, (4, 2)), (verify_lemma2, (4, 2)),
                            (verify_result1, (4,)), (verify_result2, (4, 2)),
-                           (verify_difference_identity, (1,))):
+                           (verify_difference_identity, (1,)), (verify_elder, (4, 2))):
         with pytest.raises(ValueError, match="^unknown backend 'series'$"):
             verifier(*args, backend="series")
+
+
+def test_elder_refuses_the_closed_form():
+    with pytest.raises(ValueError, match="^elder has no closed form; use the oracle backend$"):
+        verify_elder(5, 2, backend=CLOSED_FORM)
+    assert verify_elder(5, 2, backend=ORACLE) == verify_elder(5, 2)
 
 
 def test_report_as_dict():
@@ -276,6 +282,29 @@ def test_sweep_errors():
         sweep("elder", (1, 10), (1, 5), backend=CLOSED_FORM)
     with pytest.raises(ValueError, match="elder has no closed form; use the oracle backend"):
         sweep("elder", (1, 5), (1, 3), backend=BOTH)
+
+
+def test_sweep_elder_refuses_other_routes_before_counting(monkeypatch):
+    def no_elder(*args):
+        raise AssertionError("elder_count ran before the refusal")
+
+    monkeypatch.setattr(partitions, "elder_count", no_elder)
+    with pytest.raises(ValueError, match="^elder has no closed form; use the oracle backend$"):
+        sweep("elder", (1, 5), (1, 3), backend=BOTH)
+    with pytest.raises(ValueError, match="^unknown backend 'series'$"):
+        sweep("elder", (1, 5), (1, 3), backend="series")
+
+
+def test_sweep_reads_the_oracle_reach_once(monkeypatch):
+    monkeypatch.setattr(partitions, "DEFAULT_ENUMERATION_LIMIT", 40)
+    seen = []
+    real_stats = partitions.oracle_stats
+    monkeypatch.setattr(partitions, "oracle_stats", lambda n: seen.append(n) or real_stats(n))
+    result = sweep("lemma2", (30, 50), (1, 2), backend=BOTH)
+    assert result.total_checked == 42 and result.ok
+    assert seen and max(seen) == 40
+    with pytest.raises(ValueError, match="needs the oracle up to n=52, beyond its limit of 40; "):
+        sweep("lemma2", (30, 50), (1, 2), backend=ORACLE)
 
 
 @pytest.mark.parametrize("identity, n_range, family, modulus, top, ok", [
