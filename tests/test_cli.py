@@ -510,6 +510,19 @@ def test_verify_cache_flag(capsys, tmp_path):
     assert code == 2 and "--cache" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "5"], ["stats", "5", "--csv"], ["table", "5", "--kmax", "2"],
+])
+def test_verify_cache_mismatch_output_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "table.txt"
+    run_cli(capsys, "cache", "build", "--max", "12", "--cache", str(path))
+    path.write_text(path.read_text().replace("4,5\n", "4,6\n"))
+    body = path.read_bytes()
+    message = f"cache {path}: 1 entries disagree with the recurrence (first at n=4)\n"
+    assert run_cli(capsys, *argv, "--cache", str(path), "--verify-cache") == (1, "", message)
+    assert path.read_bytes() == body
+
+
 def test_stats_rejects_kmax_before_reading_the_cache(capsys, tmp_path):
     path = tmp_path / "table.txt"
     run_cli(capsys, "cache", "build", "--max", "12", "--cache", str(path))
@@ -600,6 +613,26 @@ README_COMMANDS = [
     ("cache check --cache p.txt", 0,
      "437023e4528e6cd6eaaf1f2ee901a4faa7504bb6b9e0aedde8956d3cbcbb4fde"),
 ]
+
+
+# Output shapes the README commands do not reach: CSV counts and stats, a
+# stats run without its listing, a table with more columns than n, and a
+# text table whose cells are wider than its headings.
+OUTPUT_SHAPES = [
+    ("count 10 --csv", 0, "cc66c0ff7a1046510cbe1b39788efb3ef543c338201aee421ab20f394490bee2"),
+    ("stats 7 --csv", 0, "658324fdb78ad2b4d54d1fe5da491485092da23b5d7f54caf8e3c43a3c1cacab"),
+    ("stats 5 --kmax 2 --no-partitions", 0,
+     "eab0c0eb154396202fa48f732b88d26144f12fde905004f2312143e5272b4fa2"),
+    ("table 3 --kmax 5 --csv", 0,
+     "8974f13beca09c1a38eee88a3a755114b184d1b1d5456b4567a1d1a901e0d9a6"),
+    ("table 9 --kmax 6", 0, "b754621bec33d34da54a87ce3d501e817d3a53ab4b6481dcccadb4bfd4c93e3c"),
+]
+
+
+@pytest.mark.parametrize("command, expected_code, digest", OUTPUT_SHAPES)
+def test_output_shapes_pinned(capsys, command, expected_code, digest):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (expected_code, digest, "")
 
 
 def test_readme_commands_output_pinned(capsys, tmp_path, monkeypatch):
