@@ -2,8 +2,10 @@
 
 Commands: count, stats, table, verify, series, cache.  Output is
 human-readable text by default; --json and --csv switch to machine
-formats with the same numbers.  Exit codes: 0 success, 1 when a
-verification or consistency check failed, 2 on usage or input errors.
+formats with the same numbers.  ``main`` is the one entry point and maps
+every outcome to an exit code: 0 success, 1 when a verification or
+consistency check failed (a cache that --verify-cache finds wrong
+included), 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -65,17 +67,17 @@ def _check_cache_dir(path: str) -> None:
         raise ValueError(f"cache {path}: no directory {folder}")
 
 
-def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
+def _load_cache(args) -> tuple[CountTable | None, int]:
     """Open the table behind --cache, honouring --verify-cache.
 
-    Returns (table, stored, exit_code): ``stored`` is the number of entries
-    in the file (0 when it is absent), and a non-None exit code aborts the
-    command.
+    Returns (table, stored): ``table`` is None without --cache, and
+    ``stored`` is the number of entries in the file (0 when it is absent).
+    A table that --verify-cache finds wrong ends the command with exit 1.
     """
     if args.verify_cache and not args.cache:
         raise ValueError("--verify-cache requires --cache")
     if not args.cache:
-        return None, 0, None
+        return None, 0
     _check_cache_dir(args.cache)
     if os.path.exists(args.cache):
         table = counting.load_table(args.cache)
@@ -91,20 +93,18 @@ def _load_cache(args) -> tuple[CountTable | None, int, int | None]:
                 f"recurrence (first at n={bad[0]})",
                 file=sys.stderr,
             )
-            return None, stored, 1
-    return table, stored, None
+            raise SystemExit(1)
+    return table, stored
 
 
 def _save_cache(args, table: CountTable | None, stored: int) -> None:
     # Write only what would change the file: a new file or a longer table.
-    if table is not None and args.cache and len(table) > stored:
+    if table is not None and len(table) > stored:
         counting.save_table(table, args.cache)
 
 
 def _cmd_count(args) -> int:
-    table, stored, abort = _load_cache(args)
-    if abort is not None:
-        return abort
+    table, stored = _load_cache(args)
     value = counting.partition_count(args.n, table)
     if args.json:
         _emit_json({"command": "count", "n": args.n, "partition_count": value})
@@ -123,12 +123,11 @@ def _cmd_stats(args) -> int:
     kmax = args.kmax if args.kmax is not None else n
     if kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {kmax}")
-    table, stored, abort = _load_cache(args)
-    if abort is not None:
-        return abort
+    table, stored = _load_cache(args)
     p = counting.partition_count(n, table)
     s = counting.distinct_members(n, table)
     occurrences = {k: counting.occurrence_count(k, n, table) for k in range(1, kmax + 1)}
+    rows = [[f"P({n})", p], [f"S({n})", s]] + [[f"Q_{k}({n})", v] for k, v in occurrences.items()]
 
     if args.json:
         _emit_json(
@@ -141,18 +140,14 @@ def _cmd_stats(args) -> int:
             }
         )
     elif args.csv:
-        rows = [["stat", "value"], [f"P({n})", p], [f"S({n})", s]]
-        rows += [[f"Q_{k}({n})", v] for k, v in occurrences.items()]
-        _emit_csv(rows)
+        _emit_csv([["stat", "value"]] + rows)
     else:
         show = n <= PARTITION_LIST_AUTO_MAX if args.partitions is None else args.partitions
         # Listed before the first print, so that a refused listing prints nothing.
         listing = list(_module("partitions").enumerate_partitions(n)) if show else None
         print(f"n = {n}")
-        print(f"P({n}) = {p}")
-        print(f"S({n}) = {s}")
-        for k, v in occurrences.items():
-            print(f"Q_{k}({n}) = {v}")
+        for label, value in rows:
+            print(f"{label} = {value}")
         if listing is not None:
             print(f"partitions of {n} ({p} total):")
             for parts in listing:
@@ -161,25 +156,23 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _table_columns(n: int, kmax: int, table: CountTable | None) -> tuple[int, list[dict]]:
-    s = counting.distinct_members(n, table)
-    columns = []
-    for k in range(1, kmax + 1):
-        values = [counting.occurrence_count(k, n + i, table) for i in range(k)]
-        columns.append({"k": k, "values": values, "sum": sum(values)})
-    return s, columns
-
-
 def _cmd_table(args) -> int:
     n, kmax = args.n, args.kmax
     if n < 1:
         raise ValueError(f"table needs n >= 1, got n={n}")
     if kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {kmax}")
-    table, stored, abort = _load_cache(args)
-    if abort is not None:
-        return abort
-    s, columns = _table_columns(n, kmax, table)
+    table, stored = _load_cache(args)
+    s = counting.distinct_members(n, table)
+    columns = []
+    for k in range(1, kmax + 1):
+        values = [counting.occurrence_count(k, n + i, table) for i in range(k)]
+        columns.append({"k": k, "values": values, "sum": sum(values)})
+    # Row i holds Q_k(n + i); a column k ends after k rows, and "." in text marks the rest.
+    blank = "" if args.csv else "."
+    grid = [[n + i] + [c["values"][i] if i < c["k"] else blank for c in columns]
+            for i in range(kmax)]
+    grid.append(["total"] + [c["sum"] for c in columns])
 
     if args.json:
         _emit_json(
@@ -192,23 +185,10 @@ def _cmd_table(args) -> int:
             }
         )
     elif args.csv:
-        rows = [["n"] + [f"k={c['k']}" for c in columns]]
-        for i in range(kmax):
-            row: list = [n + i]
-            for c in columns:
-                row.append(c["values"][i] if i < c["k"] else "")
-            rows.append(row)
-        rows.append(["total"] + [c["sum"] for c in columns])
-        _emit_csv(rows)
+        _emit_csv([["n"] + [f"k={c['k']}" for c in columns]] + grid)
     else:
-        cells = [["n\\k"] + [str(c["k"]) for c in columns]]
-        for i in range(kmax):
-            row = [str(n + i)]
-            for c in columns:
-                row.append(str(c["values"][i]) if i < c["k"] else ".")
-            cells.append(row)
-        cells.append(["total"] + [str(c["sum"]) for c in columns])
-        widths = [max(len(r[j]) for r in cells) for j in range(kmax + 1)]
+        cells = [["n\\k"] + [str(c["k"]) for c in columns]] + [list(map(str, r)) for r in grid]
+        widths = [max(map(len, column)) for column in zip(*cells)]
         print(f"occurrence table for n={n}, k=1..{kmax} (every column sums to S({n})={s})")
         for row in cells:
             print("  ".join(val.rjust(w) for val, w in zip(row, widths)))
@@ -386,30 +366,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, and return the exit code (never raises SystemExit)."""
-    parser = _build_parser()
+def main(argv: list[str] | None = None) -> int:
+    """Parse argv (default: sys.argv[1:]), dispatch, and return the exit code.
+
+    Never raises SystemExit: every exit, argparse's included, becomes its code.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a range such as "-1..2" for a flag, but "--n=-1..2" for a value.
-    argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--n", "--k") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # usage errors, --help, and a cache --verify-cache refused
+        return exc.code if isinstance(exc.code, int) else 2
     except TableFormatError as exc:
         print(f"partx: cache error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"partx: error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

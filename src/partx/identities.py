@@ -353,7 +353,9 @@ def sweep(
     lead = tuple(fixed.values())
     modulus = fixed.get("mod", family)  # a congruence's modulus; None over Z
     span = spec.span
-    span(*lead, n_lo, *k_tails[0])  # raises any argument error the first instance would
+    # Only a congruence's span checks arguments: it raises its verifier's errors
+    # here, before any table grows.  Other identities raise from their verifier.
+    span(*lead, n_lo, *k_tails[0])
     top = span(*lead, n_hi, *k_tails[-1])
     reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
     if backend == ORACLE and top > reach:

@@ -36,8 +36,8 @@ DEFAULT_ENUMERATION_LIMIT = 80
 class PartitionStats(NamedTuple):
     """Every oracle statistic of one n.
 
-    The count maps are sparse: only part values that actually occur are
-    stored.  The accessors return 0 for an absent k and reject k < 1.
+    The count maps hold one entry for every part value k in 1..n.  The
+    accessors return 0 for a larger k and reject k < 1.
     """
 
     n: int

@@ -643,6 +643,6 @@ def test_readme_commands_output_pinned(capsys, tmp_path, monkeypatch):
     assert listed == [command for command, _, _ in README_COMMANDS]
     monkeypatch.chdir(tmp_path)  # the cache pair writes p.txt
     for command, expected_code, digest in README_COMMANDS:
-        code = cli.run(command.split())
+        code = cli.main(command.split())
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, digest), command
