@@ -89,8 +89,8 @@ def _load_cache(args) -> tuple[CountTable | None, int]:
         bad = counting.consistency_check(table)
         if bad:
             print(
-                f"cache {args.cache}: {len(bad)} entries disagree with the "
-                f"recurrence (first at n={bad[0]})",
+                f"partx: cache {args.cache}: {len(bad)} of {len(table)} entries disagree "
+                f"with the recurrence (first at n={bad[0]})",
                 file=sys.stderr,
             )
             raise SystemExit(1)

@@ -19,44 +19,44 @@ makes the oracle an independent route for the closed forms in
 :mod:`partx.counting` and the series in :mod:`partx.series`; this module
 imports neither.
 
-The coin-change tables grow geometrically up to the cap below; the
-statistics of an n are read off them when first asked for and memoized.
+The coin-change tables grow geometrically up to the cap below and are the
+oracle's only state: each statistic is read off them when asked for.
 Listings and the oracle are capped at n <= :data:`DEFAULT_ENUMERATION_LIMIT`
 (80); the closed forms have no such cap.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import count
+from operator import mul
 from typing import Iterator, NamedTuple
 
 DEFAULT_ENUMERATION_LIMIT = 80
 
 
 class PartitionStats(NamedTuple):
-    """Every oracle statistic of one n.
+    """The oracle statistics of one n, read off the coin-change tables.
 
-    The count maps hold one entry for every part value k in 1..n.  The
-    accessors return 0 for a larger k and reject k < 1.
+    P(n) and S(n) are held; Q_k(n) and R_k(n) are summed from A_k when
+    asked for.  The accessors return 0 for k > n and reject k < 1.
     """
 
     n: int
     partition_count: int
     distinct_member_total: int
-    occurrence_counts: dict[int, int]
-    containing_counts: dict[int, int]
 
     def occurrences(self, k: int) -> int:
-        """Q_k(n): total occurrences of the part k."""
+        """Q_k(n) = sum over j >= 1 of j * A_k(n - j*k): total occurrences of the part k."""
         if k < 1:
             raise ValueError(f"k must be a positive integer, got k={k}")
-        return self.occurrence_counts.get(k, 0)
+        n = self.n
+        return sum(map(mul, count(1), _avoid[k][n - k :: -k])) if k <= n else 0
 
     def containing(self, k: int) -> int:
-        """R_k(n): partitions with at least one part equal to k."""
+        """R_k(n) = P(n) - A_k(n): partitions with at least one part equal to k."""
         if k < 1:
             raise ValueError(f"k must be a positive integer, got k={k}")
-        return self.containing_counts.get(k, 0)
+        return self.partition_count - _avoid[k][self.n] if k <= self.n else 0
 
 
 def _check_enumerable(n: int) -> None:
@@ -98,15 +98,17 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
 # every part size, and _avoid[v][m] is A_v(m), by the same knapsack with coin
 # v left out (index 0 unused).  A_v(n - j*v) counts the partitions of n in
 # which v occurs exactly j times, and every statistic is a sum of those.
+# _s[m] is S(m), the one statistic that needs every v.
 _p = [1]
 _avoid: list[list[int]] = [[]]
+_s = [0]
 
 # Smallest table the oracle builds, so that a sweep over small n builds once.
 _MIN_ORACLE_SIZE = 32
 
 
 def _grow_tables(n: int) -> None:
-    """Rebuild _p and _avoid to cover n, unless they already do.
+    """Rebuild _p, _avoid and _s to cover n, unless they already do.
 
     Geometric growth capped at the limit: a sweep over increasing n rebuilds
     the tables a logarithmic number of times, not once per n.  A_v(m) does
@@ -130,11 +132,12 @@ def _grow_tables(n: int) -> None:
             ways[m] += ways[m - v]
     _p[:] = ways
     _avoid[:] = avoid
+    # S(m) = sum over v of R_v(m) = P(m) - A_v(m); each v > m adds P(m) - P(m) = 0.
+    _s[:] = [size * p - a for p, a in zip(ways, map(sum, zip(*avoid[1:])))]
 
 
-@cache
 def oracle_stats(n: int) -> PartitionStats:
-    """P(n), S(n) and all Q_k(n), R_k(n), counted from the definitions.
+    """P(n), S(n) and every Q_k(n), R_k(n), counted from the definitions.
 
     With A_k(m) the number of partitions of m with no part k:
 
@@ -142,26 +145,12 @@ def oracle_stats(n: int) -> PartitionStats:
     * R_k(n) = P(n) - A_k(n)
     * S(n)   = sum over k of R_k(n)
 
-    The statistics of an n are computed when it is first asked for and
-    memoized, since the verification sweeps revisit the same n many times;
-    the tables under them grow geometrically up to the limit.  Treat the
-    returned object as read-only.
+    Each call returns a new view on the tables, which grow geometrically
+    up to the limit; nothing is kept per n.
     """
-    _grow_tables(n)
-    total = _p[n]
-    occurrences: dict[int, int] = {}
-    containing: dict[int, int] = {}
-    for k in range(1, n + 1):
-        without = _avoid[k]
-        occurrences[k] = sum(j * without[n - j * k] for j in range(1, n // k + 1))
-        containing[k] = total - without[n]
-    return PartitionStats(
-        n=n,
-        partition_count=total,
-        distinct_member_total=sum(containing.values()),
-        occurrence_counts=occurrences,
-        containing_counts=containing,
-    )
+    if not 0 < n < len(_p):
+        _grow_tables(n)
+    return PartitionStats(n, _p[n], _s[n])
 
 
 def elder_count(n: int, k: int) -> int:

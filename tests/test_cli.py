@@ -518,7 +518,7 @@ def test_verify_cache_mismatch_output_pinned(capsys, tmp_path, argv):
     run_cli(capsys, "cache", "build", "--max", "12", "--cache", str(path))
     path.write_text(path.read_text().replace("4,5\n", "4,6\n"))
     body = path.read_bytes()
-    message = f"cache {path}: 1 entries disagree with the recurrence (first at n=4)\n"
+    message = f"partx: cache {path}: 1 of 13 entries disagree with the recurrence (first at n=4)\n"
     assert run_cli(capsys, *argv, "--cache", str(path), "--verify-cache") == (1, "", message)
     assert path.read_bytes() == body
 

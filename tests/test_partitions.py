@@ -63,7 +63,6 @@ def test_oracle_stats_for_four():
     assert [st.occurrences(k) for k in (1, 2, 3, 4)] == [7, 3, 1, 1]
     assert st.occurrences(5) == 0
     assert st.containing(1) == 3  # [3,1], [2,1,1], [1,1,1,1]
-    assert st.occurrence_counts.get(9) is None  # sparse storage
 
 
 def test_oracle_stats_q5_of_nine():
@@ -73,16 +72,16 @@ def test_oracle_stats_q5_of_nine():
 def test_occurrences_dominate_containing():
     for n in range(1, 25):
         st = oracle_stats(n)
-        for k, occ in st.occurrence_counts.items():
-            assert occ >= st.containing(k)
-            assert k <= n
+        for k in range(1, n + 1):
+            assert st.occurrences(k) >= st.containing(k) > 0
+        assert st.occurrences(n + 1) == st.containing(n + 1) == 0
 
 
 def test_mass_conservation():
     # every partition's parts sum to n, so sum_k k*Q_k(n) = n*P(n)
     for n in range(1, 41):
         st = oracle_stats(n)
-        assert sum(k * v for k, v in st.occurrence_counts.items()) == n * st.partition_count
+        assert sum(k * st.occurrences(k) for k in range(1, n + 1)) == n * st.partition_count
 
 
 def test_elder_examples():
@@ -111,10 +110,6 @@ def test_elder_by_direct_recount():
             for part in enumerate_partitions(n):
                 occasions += sum(1 for mult in Counter(part).values() if mult >= k)
             assert elder_count(n, k) == occasions
-
-
-def test_stats_cache_returns_same_object():
-    assert oracle_stats(17) is oracle_stats(17)
 
 
 def test_default_limit_value():
@@ -156,7 +151,7 @@ def test_partitions_imports_no_other_route():
 
 
 def _oracle_reads(order: list[int]) -> list[str]:
-    """Table sizes, then the stats and elder counts of n = 1..80, asked in ``order``.
+    """Table sizes, then every oracle read of n = 1..80, asked in ``order``.
 
     Runs in a fresh interpreter, where the oracle tables start empty.
     """
@@ -166,7 +161,10 @@ def _oracle_reads(order: list[int]) -> list[str]:
         "from partx.partitions import _p, elder_count, oracle_stats\n"
         "sizes, lines = [], {}\n"
         f"for n in {order!r}:\n"
-        "    lines[n] = oracle_stats(n), [elder_count(n, k) for k in range(1, 5)]\n"
+        "    st = oracle_stats(n)\n"
+        "    ks = range(1, n + 2)\n"
+        "    lines[n] = (st, [st.occurrences(k) for k in ks], [st.containing(k) for k in ks],\n"
+        "                [elder_count(n, k) for k in range(1, 5)])\n"
         "    if not sizes or sizes[-1] != len(_p) - 1:\n"
         "        sizes.append(len(_p) - 1)\n"
         "print(*sizes)\n"
@@ -179,9 +177,26 @@ def _oracle_reads(order: list[int]) -> list[str]:
     return done.stdout.splitlines()
 
 
-def test_oracle_memo_survives_table_growth():
+def test_oracle_reads_survive_table_growth():
     ascending = _oracle_reads(list(range(1, 81)))
     top_first = _oracle_reads([80] + list(range(1, 80)))
     assert (ascending[0], top_first[0]) == ("32 64 80", "80")
     assert len(ascending) == 81
     assert ascending[1:] == top_first[1:]
+
+
+def test_oracle_view_reads_right_after_the_tables_grow(monkeypatch):
+    # A view holds no counts of its own: it reads the tables as they are when asked.
+    for name, empty in (("_p", [1]), ("_avoid", [[]]), ("_s", [0])):
+        monkeypatch.setattr(partitions, name, empty)
+    occurrences, containing = Counter(), Counter()
+    for part in enumerate_partitions(20):
+        occurrences.update(part)
+        containing.update(set(part))
+    st = oracle_stats(20)
+    for size in (32, 64, 80):
+        partitions._grow_tables(size)
+        assert len(partitions._p) - 1 == size
+        for k in range(1, 22):
+            assert st.occurrences(k) == occurrences[k], (size, k)
+            assert st.containing(k) == containing[k], (size, k)
