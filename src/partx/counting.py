@@ -44,6 +44,14 @@ table grown once to the range's top; S and Q_k are such sums.  Residue
 tables are served by the same statistic functions: ``partition_count_mod``
 and ``occurrence_count_mod`` run ``partition_count`` and
 ``occurrence_count`` on one shared table per modulus.
+
+:func:`consistency_check` checks a stored table against the recurrence.
+On a multi-core host a table of more than 8,192 entries is cut into up to
+four slices of equal cost: the first is recomputed in this process, and
+each later slice in a forked child, by running the same kernel on from the
+stored entries before it.  If every slice passes, every entry is right, by
+induction on the slices; if one fails, this process recomputes the whole
+table, so the entries reported are the same as without the split.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import os
 import sys
 from bisect import bisect_right
 from itertools import islice, repeat
+from math import isqrt
 from operator import index, itemgetter, le, neg
 
 TABLE_HEADER = "#partition-table v1"
@@ -277,18 +286,96 @@ def distinct_members(n: int, table: CountTable | None = None) -> int:
 
 
 def consistency_check(table: CountTable) -> list[int]:
-    """Recompute the table's entries; return the n whose entries differ.
+    """Check the table's entries against the recurrence; return the n whose entries differ.
 
-    The entries are recomputed into the module's own table (only ever grown
-    by the recurrence), so :func:`partition_count` serves them afterwards
-    without a second run.
+    A table of 8,193 entries or more on a multi-core host is checked in
+    slices (:func:`_slices_pass`); when every slice passes, the module's
+    own table may stop at the first slice.  Otherwise, and after any failed
+    slice, the entries are recomputed into the module's own table (only
+    ever grown by the recurrence), so :func:`partition_count` serves the
+    recomputed values of the entries reported without a second run.
     """
+    stored = table._values
+    if _slices_pass(stored):
+        return []
     partition_count(table.max_n)
     fresh = _TABLE._values
-    stored = table._values
     if stored == fresh[:len(stored)]:
         return []
     return [n for n, (a, b) in enumerate(zip(stored, fresh)) if a != b]
+
+
+_SLICE = 4096  # the fewest entries, per worker, worth a process of its own
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _continues(stored: list[int], lo: int, hi: int) -> bool:
+    """Whether the recurrence run on from ``stored[:lo]`` reproduces ``stored[lo:hi]``."""
+    values = stored[:lo]
+    _extend(values, hi - 1)
+    return values[lo:] == stored[lo:hi]
+
+
+def _slices_pass(stored: list[int]) -> bool:
+    """Whether every slice of ``stored`` continues the recurrence; False if not split.
+
+    Entries 0..N are cut into w slices of equal recurrence cost (about n^2),
+    at floor((N+1) * sqrt(i/w)).  The first slice is recomputed into the
+    module's table; each later slice [lo, hi) passes when
+    :func:`_continues` holds for it in a forked child, which sends one byte
+    down a pipe if so.  If every slice passes, every entry is right, by
+    induction on the slices.  The table is split only when w = min(usable
+    CPUs, 4, N // 4096) is at least 2, the module's table is shorter than
+    ``stored``, and the process has one thread and can fork.  A failed
+    slice, a child that dies and a fork that fails all read as False.
+    """
+    import threading
+
+    size = len(stored)
+    workers = min(_usable_cpus(), 4, (size - 1) // _SLICE)
+    if (workers < 2 or len(_TABLE) >= size  # then the caller only compares
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        return False
+    import signal
+
+    cuts = [isqrt(size * size * i // workers) for i in range(workers + 1)]
+    pids, reads = [], []
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:  # the child never returns, so it runs no caller's exit code
+                        if _continues(stored, lo, hi):
+                            os.write(write, b"1")
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(write)  # the parent's copy: the child's exit then ends the pipe
+            pids.append(pid)
+        partition_count(cuts[1] - 1)
+        return (_TABLE._values[:cuts[1]] == stored[:cuts[1]]
+                and all(os.read(read, 1) == b"1" for read in reads))
+    except OSError:  # fork, pipe or read failed
+        return False
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)  # a child still running is no longer needed
+                os.waitpid(pid, 0)
+            except OSError:  # already reaped, for instance with SIGCHLD ignored
+                pass
 
 
 def save_table(table: CountTable, path) -> None:

@@ -523,6 +523,43 @@ def test_verify_cache_mismatch_output_pinned(capsys, tmp_path, argv):
     assert path.read_bytes() == body
 
 
+@pytest.fixture(scope="module")
+def split_table(tmp_path_factory):
+    """A table of 12,289 entries, large enough to be checked in 2 or 3 slices."""
+    path = tmp_path_factory.mktemp("split") / "table.txt"
+    counting.save_table(counting.CountTable().extend(12_288), path)
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
+def test_split_cache_check_output_matches_one_process(capsys, monkeypatch, tmp_path, split_table):
+    bad = tmp_path / "bad.txt"
+    lines = split_table.read_text().split("\n")
+    for n in (5, 8000, 11000):  # one entry in each slice of three
+        key, value = lines[n + 1].split(",")
+        lines[n + 1] = f"{key},{int(value) + 1}"
+    bad.write_text("\n".join(lines))
+    runs = [["cache", "check", "--cache", str(split_table)], ["cache", "check", "--cache", str(bad)],
+            ["count", "10", "--cache", str(bad), "--verify-cache"]]
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: workers)
+        for argv in runs:
+            monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
+            outputs.setdefault(tuple(argv), set()).add(run_cli(capsys, *argv))
+    assert outputs == {
+        tuple(runs[0]): {(0, "ok: 12289 entries match the recurrence\n", "")},
+        tuple(runs[1]): {(1, "".join(
+            f"mismatch at n={n}: stored {counting.partition_count(n) + 1}, "
+            f"recomputed {counting.partition_count(n)}\n" for n in (5, 8000, 11000))
+            + "FAIL: 3 of 12289 entries are wrong\n", "")},
+        tuple(runs[2]): {(1, "", f"partx: cache {bad}: 3 of 12289 entries disagree with the "
+                                 "recurrence (first at n=5)\n")},
+    }
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_stats_rejects_kmax_before_reading_the_cache(capsys, tmp_path):
     path = tmp_path / "table.txt"
     run_cli(capsys, "cache", "build", "--max", "12", "--cache", str(path))
