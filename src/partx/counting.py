@@ -39,15 +39,24 @@ Each block [a, a+B) takes two C-level steps:
   of F reduced mod m with P(0..B-1) mod m, truncated to B slots.
 
 A bigint table, a wider modulus and an extension shorter than a block run
-the segment loop.  :func:`partition_sum` sums P over a range as one slice of a
-table grown once to the range's top; S and Q_k are such sums.  Residue
-tables are served by the same statistic functions: ``partition_count_mod``
-and ``occurrence_count_mod`` run ``partition_count`` and
-``occurrence_count`` on one shared table per modulus.
+the segment loop.
+
+:func:`partition_sum` answers every sum of P over a range, and so S and
+Q_k, as the difference of two running sums.  A table keeps one list of
+running sums per (step, residue class) read more than once, and grows a
+list on demand: ``itertools.accumulate`` runs over the new stride slice,
+from the last stored sum.  So a sweep over consecutive n pays O(1) per
+read, while a class read once, as by a one-shot ``stats`` or ``table``, is
+one slice sum and keeps no sums.  The sums belong to the list of values
+they were taken of; a table whose values are replaced (as
+:func:`load_table` does) starts its sums again.  Residue tables are served
+by the same statistic functions: ``partition_count_mod`` and
+``occurrence_count_mod`` run ``partition_count`` and ``occurrence_count`` on
+one shared table per modulus, whose running sums add residues.
 
 :func:`consistency_check` checks a stored table against the recurrence.
 On a multi-core host a table of more than 8,192 entries is cut into up to
-four slices of equal cost: the first is recomputed in this process, and
+four slices: the first is recomputed in this process, and
 each later slice in a forked child, by running the same kernel on from the
 stored entries before it.  If every slice passes, every entry is right, by
 induction on the slices; if one fails, this process recomputes the whole
@@ -59,7 +68,7 @@ from __future__ import annotations
 import os
 import sys
 from bisect import bisect_right
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import isqrt
 from operator import index, itemgetter, le, neg
 
@@ -172,10 +181,12 @@ class CountTable:
     readers of existing entries are safe, extension is not synchronized.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_sums")
 
     def __init__(self):
         self._values = [1]  # P(0) = 1
+        # The running sums of :func:`partition_sum`, with the list they were taken of.
+        self._sums: tuple[list[int], dict[tuple[int, int], list[int]]] = (self._values, {})
 
     @property
     def max_n(self) -> int:
@@ -208,7 +219,8 @@ class ModCountTable(CountTable):
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
-        self._values = [1 % modulus]
+        super().__init__()
+        self._values[0] = 1 % modulus
 
     def extend(self, new_max: int) -> "ModCountTable":
         _extend(self._values, new_max, self.modulus)
@@ -224,9 +236,12 @@ def partition_count(n: int, table: CountTable | None = None) -> int:
     if n < 0:
         return 0
     t = _TABLE if table is None else table
-    if n > t.max_n:
-        t.extend(n)
-    return t[n]
+    values = t._values
+    try:
+        return values[n]
+    except IndexError:
+        t.extend(n)  # appends to ``values``
+        return values[n]
 
 
 def _mod_table(modulus: int) -> ModCountTable:
@@ -253,19 +268,39 @@ def count_containing(k: int, n: int, table: CountTable | None = None) -> int:
 
 
 def partition_sum(indices: range, table: CountTable | None = None) -> int:
-    """The sum of P(i) over i in ``indices``, as one slice of the table.
+    """The sum of P(i) over i in ``indices``, as the difference of two running sums.
 
-    P(i) = 0 for i < 0, so negative indices add nothing.
+    P(i) = 0 for i < 0, so negative indices add nothing.  The first read of
+    a residue class is one slice sum; from the second on, the table keeps
+    the class's running sums, grown on demand up to the range's top, so
+    consecutive reads of one class cost O(1) each.
     """
-    if indices.step < 0:
-        indices = indices[::-1]
+    step = indices.step
+    if step < 0:
+        indices, step = indices[::-1], -step
     if indices and indices[0] < 0:
-        indices = indices[-(indices[0] // indices.step):]  # the first i >= 0 on
+        indices = indices[-(indices[0] // step):]  # the first i >= 0 on
     if not indices:
         return 0
     t = _TABLE if table is None else table
-    partition_count(indices[-1], t)  # one extension covers every term
-    return sum(t._values[indices.start:indices.stop:indices.step])
+    first, last = indices[0], indices[-1]
+    partition_count(last, t)  # one extension covers every term
+    values = t._values
+    summed, sums = t._sums
+    if summed is not values:  # the values were replaced (load_table): drop every sum
+        sums = {}
+        t._sums = (values, sums)
+    residue = first % step
+    # run[j] is the sum of P(residue + i*step) over i < j.
+    run = sums.get((step, residue))
+    if run is None:  # a class read once keeps no sums: one-shot queries stay one slice
+        sums[step, residue] = [0]
+        return sum(values[first:last + 1:step])
+    top = last // step + 1
+    if len(run) <= top:
+        grown = values[residue + (len(run) - 1) * step:last + 1:step]
+        run += islice(accumulate(grown, initial=run[-1]), 1, None)
+    return run[top] - run[first // step]
 
 
 def occurrence_count(k: int, n: int, table: CountTable | None = None) -> int:
@@ -326,15 +361,22 @@ def _continues(stored: list[int], lo: int, hi: int) -> bool:
 def _slices_pass(stored: list[int]) -> bool:
     """Whether every slice of ``stored`` continues the recurrence; False if not split.
 
-    Entries 0..N are cut into w slices of equal recurrence cost (about n^2),
-    at floor((N+1) * sqrt(i/w)).  The first slice is recomputed into the
-    module's table; each later slice [lo, hi) passes when
-    :func:`_continues` holds for it in a forked child, which sends one byte
-    down a pipe if so.  If every slice passes, every entry is right, by
-    induction on the slices.  The table is split only when w = min(usable
-    CPUs, 4, N // 4096) is at least 2, the module's table is shorter than
-    ``stored``, and the process has one thread and can fork.  A failed
-    slice, a child that dies and a fork that fails all read as False.
+    Entries 0..N are cut into w slices at floor((N+1) * sqrt(i/w)): equal
+    shares of a total cost growing as N^2.  The recurrence's cost grows more
+    slowly, so the first slice costs the most.  Of 18,001 entries on a
+    2-core Xeon, [0, 12728) took 66 ms and [12728, 18001) 46-48 ms (best of
+    5); with four cuts the first took 38 ms and the others 24-27 ms.  Cuts
+    balanced for N^1.5 were not reliably faster over the whole check
+    (64-115 ms against 73-81 ms, median of 9).
+
+    The first slice is recomputed into the module's table; each later slice
+    [lo, hi) passes when :func:`_continues` holds for it in a forked child,
+    which sends one byte down a pipe if so.  If every slice passes, every
+    entry is right, by induction on the slices.  The table is split only
+    when w = min(usable CPUs, 4, N // 4096) is at least 2, the module's table
+    is shorter than ``stored``, and the process has one thread and can fork.
+    A failed slice, a child that dies and a fork that fails all read as
+    False.
     """
     import threading
 

@@ -1,12 +1,15 @@
 """Verification harness for the partition-statistic identities.
 
-Each identity is a relation between P, S, Q_k and R_k, written once in its
-``verify_*`` function over a route: :data:`_ROUTES` maps each backend to a
-:class:`Route` of statistics over Z and mod m, and ``prepare``.
+Each identity is a relation between P, S, Q_k and R_k.  Its two sides are
+written once, as the ``sides(route, *args)`` of its :class:`Spec` in
+:data:`SPECS`, over a route: :data:`_ROUTES` maps each backend to a
+:class:`Route` of statistics over Z and mod m, and ``prepare``.  The public
+``verify_*`` functions and :func:`sweep` both compute an instance there.
 
 * ``closed_form`` reads the recurrence table of :mod:`partx.counting`.  S
-  and Q_k are slice sums of that table, so stanley, lemma2, result1 and
-  result2 compare a table slice, or entry, with itself here and cannot fail.
+  and Q_k are differences of running sums of that table, so stanley,
+  result1 and result2 compare a sum of the table with itself, and lemma2
+  an entry with itself: here they cannot fail.
 * ``oracle`` counts from the definitions with the coin-change oracle of
   :mod:`partx.partitions`, one call per term of a sum, and reaches up to its
   ``DEFAULT_ENUMERATION_LIMIT``.  It is the independent check.
@@ -15,19 +18,23 @@ The routes look ``counting`` and ``partitions`` up in this module's globals
 on every call, so swapping those references (as ``perfbench/spans.py``
 does) reaches every statistic.
 
-:func:`sweep` runs a verifier over a rectangle of (n, k) values and collects
-every failing report.  :data:`SPECS` gives each identity's arguments,
-default backend and oracle span.  ``both`` runs the closed form, then the
-oracle wherever the instance is within its reach; ``verify_elder`` refuses
-every route but the oracle.  The congruence checks
-(``ramanujan_p``, ``qk_congruence``) read residues off their route: the
-all-residue recurrence, or the oracle's exact counts reduced mod m.  Their
-reports carry the residue as both lhs and rhs and pass exactly when it is 0.
-A sweep checks its arguments, then calls its route's ``prepare`` once.
+:func:`sweep` runs an identity over a rectangle of (n, k) values.  It
+checks the arguments once, with the verifiers' own errors, calls its
+route's ``prepare`` once (the closed form grows its table to the sweep's
+top, over Z or mod m), then computes each instance's sides and builds an
+:class:`IdentityReport` only for an instance that fails.  ``both`` runs the
+closed form, then the oracle wherever the instance is within its reach,
+and the result counts the instances each route checked.  An identity whose
+default backend is the oracle (elder) refuses every other route.  The
+congruence checks (``ramanujan_p``, ``qk_congruence``) read residues off
+their route: the all-residue recurrence, or the oracle's exact counts
+reduced mod m.  Their reports carry the residue as both lhs and rhs and
+pass exactly when it is 0.
 """
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Callable, NamedTuple
 
 from . import counting, partitions
@@ -59,6 +66,7 @@ class SweepResult(NamedTuple):
     total_checked: int
     failures: list[IdentityReport]
     backend: str
+    checked: dict[str, int]  # the instances each route ran, such as {"oracle": 19}
 
     @property
     def ok(self) -> bool:
@@ -71,16 +79,6 @@ class SweepResult(NamedTuple):
             "total": self.total_checked,
             "failures": [f.as_dict() for f in self.failures],
         }
-
-
-def _require_positive(value: int, name: str) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {name}={value}")
-
-
-def _require_nonnegative(value: int, name: str) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {name}={value}")
 
 
 class Route(NamedTuple):
@@ -120,8 +118,9 @@ _ROUTES = _Routes({
         r=lambda k, n: counting.count_containing(k, n),
         p_mod=lambda n, m: counting.partition_count_mod(n, m),
         q_mod=lambda k, n, m: counting.occurrence_count_mod(k, n, m),
-        # One residue extension serves a whole congruence sweep; P over Z grows per instance.
-        prepare=lambda top, m: m is None or counting.partition_count_mod(top, m),
+        # One extension, over Z or mod m, serves a whole sweep.
+        prepare=lambda top, m: (counting.partition_count(top) if m is None
+                                else counting.partition_count_mod(top, m)),
     ),
     ORACLE: Route(
         p=_oracle_p,
@@ -136,79 +135,22 @@ _ROUTES = _Routes({
 })
 
 
-def verify_stanley(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """S(n) == Q_1(n)."""
-    _require_positive(n, "n")
-    at = _ROUTES[backend]
-    lhs = at.s(n)
-    rhs = at.q(1, n)
-    return IdentityReport("stanley", {"n": n}, lhs, rhs, lhs == rhs, backend)
+def _positive(n: int, k: int = 1) -> int:
+    """n, once n and k are checked as positive integers."""
+    for name, value in (("n", n), ("k", k)):
+        if value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {name}={value}")
+    return n
 
 
-def verify_extended_stanley(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """S(n) == Q_k(n) + Q_k(n+1) + ... + Q_k(n+k-1)."""
-    _require_positive(n, "n")
-    _require_positive(k, "k")
-    at = _ROUTES[backend]
-    lhs = at.s(n)
-    rhs = sum(at.q(k, n + i) for i in range(k))
-    return IdentityReport("extended_stanley", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
-
-
-def verify_lemma1(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """Q_k(n+k) == Q_k(n) + R_k(n+k)."""
-    _require_positive(n, "n")
-    _require_positive(k, "k")
-    at = _ROUTES[backend]
-    lhs = at.q(k, n + k)
-    rhs = at.q(k, n) + at.r(k, n + k)
-    return IdentityReport("lemma1", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
-
-
-def verify_lemma2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """P(n) == R_k(n+k)."""
-    _require_positive(n, "n")
-    _require_positive(k, "k")
-    at = _ROUTES[backend]
-    lhs = at.p(n)
-    rhs = at.r(k, n + k)
-    return IdentityReport("lemma2", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
-
-
-def verify_result1(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """Q_1(n) == P(0) + P(1) + ... + P(n-1)."""
-    _require_positive(n, "n")
-    at = _ROUTES[backend]
-    lhs = at.q(1, n)
-    rhs = at.p_sum(range(n))
-    return IdentityReport("result1", {"n": n}, lhs, rhs, lhs == rhs, backend)
-
-
-def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """Q_k(n) == sum of P(i) over 0 <= i <= n-1 with i == n (mod k)."""
-    _require_positive(n, "n")
-    _require_positive(k, "k")
-    at = _ROUTES[backend]
-    lhs = at.q(k, n)
-    rhs = at.p_sum(range(n % k, n, k))
-    return IdentityReport("result2", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
-
-
-def verify_elder(n: int, k: int, backend: str = ORACLE) -> IdentityReport:
-    """Occasions a part occurs k or more times == Q_k(n).  Oracle only."""
-    _require_positive(n, "n")
-    _require_positive(k, "k")
-    at = _ROUTES[backend]
-    if backend != ORACLE:
-        raise ValueError("elder has no closed form; use the oracle backend")
-    lhs = partitions.elder_count(n, k)
-    rhs = at.q(k, n)
-    return IdentityReport("elder", {"n": n, "k": k}, lhs, rhs, lhs == rhs, backend)
+def _nonnegative(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
+    return n
 
 
 def _argument(modulus: int, n: int) -> int:
-    """The argument modulus*n + d, where 24d == 1 (mod modulus), once n is checked."""
-    _require_nonnegative(n, "n")
+    """The argument modulus*n + d of a congruence, where 24d == 1 (mod modulus)."""
     return modulus * n + pow(24, -1, modulus)
 
 
@@ -216,15 +158,7 @@ def _ramanujan_argument(family: int, n: int) -> int:
     """The argument of P, once family and n are checked."""
     if family not in RAMANUJAN_FAMILIES:
         raise ValueError(f"family must be one of {sorted(RAMANUJAN_FAMILIES)}, got {family}")
-    return _argument(family, n)
-
-
-def verify_ramanujan_p(family: int, n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """P(family*n + d) == 0 mod family, for the 5, 7, 11 patterns."""
-    argument = _ramanujan_argument(family, n)
-    residue = _ROUTES[backend].p_mod(argument, family)
-    params = {"family": family, "n": n, "argument": argument, "modulus": family}
-    return IdentityReport("ramanujan_p", params, residue, residue, residue == 0, backend)
+    return _argument(family, _nonnegative(n))
 
 
 def _qk_argument(k: int, modulus: int, n: int) -> int:
@@ -232,62 +166,148 @@ def _qk_argument(k: int, modulus: int, n: int) -> int:
     if (k, modulus) not in QK_CONGRUENCES:
         supported = ", ".join(f"(k={a}, mod={b})" for a, b in sorted(QK_CONGRUENCES))
         raise ValueError(f"unsupported congruence (k={k}, mod={modulus}); supported: {supported}")
-    return _argument(modulus, n)
+    return _argument(modulus, _nonnegative(n))
+
+
+def _residue(value: int) -> tuple[int, int]:
+    """A congruence's two sides: its report carries the residue as both lhs and rhs."""
+    return value, value
+
+
+def _vanishes(lhs: int, rhs: int) -> bool:
+    """Whether a congruence holds: its residue is 0."""
+    return lhs == 0
+
+
+class Spec(NamedTuple):
+    """One identity: its two sides over a route, and how :func:`sweep` runs it.
+
+    ``sides(route, *args)`` computes the identity's lhs and rhs on ``route``
+    from the arguments named by ``params``, in order: ``n`` and ``k`` are
+    swept, ``family`` and ``mod`` stay fixed for the whole sweep.  The
+    instance passes when ``holds(lhs, rhs)``.  ``span`` checks the arguments,
+    raising the verifier's errors, and returns the largest n they read,
+    which the oracle must cover.  ``labels`` gives a report's params (by
+    default ``params`` with their values).  ``backend`` is the route a sweep
+    takes when it names none: the closed form, or the oracle for an
+    identity without one, which refuses every other route.
+    """
+
+    sides: Callable[..., tuple[int, int]]
+    params: tuple[str, ...]
+    span: Callable[..., int]
+    family_hint: str = ""
+    backend: str = CLOSED_FORM
+    labels: Callable[..., dict[str, int]] | None = None
+    holds: Callable[[int, int], bool] = eq
+
+
+SPECS = {
+    "stanley": Spec(lambda at, n: (at.s(n), at.q(1, n)), ("n",), _positive),
+    "extended_stanley": Spec(lambda at, n, k: (at.s(n), sum(at.q(k, n + i) for i in range(k))),
+                             ("n", "k"), lambda n, k: _positive(n, k) + k - 1),
+    "lemma1": Spec(lambda at, n, k: (at.q(k, n + k), at.q(k, n) + at.r(k, n + k)),
+                   ("n", "k"), lambda n, k: _positive(n, k) + k),
+    "lemma2": Spec(lambda at, n, k: (at.p(n), at.r(k, n + k)),
+                   ("n", "k"), lambda n, k: _positive(n, k) + k),
+    "result1": Spec(lambda at, n: (at.q(1, n), at.p_sum(range(n))), ("n",), _positive),
+    "result2": Spec(lambda at, n, k: (at.q(k, n), at.p_sum(range(n % k, n, k))),
+                    ("n", "k"), _positive),
+    "difference_identity": Spec(
+        lambda at, n: (at.p(5 * n + 4), at.q(5, 5 * n + 9) - at.q(5, 5 * n + 4)),
+        ("n",), lambda n: 5 * _nonnegative(n) + 9),
+    "elder": Spec(lambda at, n, k: (partitions.elder_count(n, k), at.q(k, n)),
+                  ("n", "k"), _positive, backend=ORACLE),
+    "ramanujan_p": Spec(
+        lambda at, family, n: _residue(at.p_mod(_argument(family, n), family)),
+        ("family", "n"), _ramanujan_argument, "(5, 7 or 11)",
+        labels=lambda family, n: {"family": family, "n": n,
+                                  "argument": _argument(family, n), "modulus": family},
+        holds=_vanishes),
+    "qk_congruence": Spec(
+        lambda at, k, modulus, n: _residue(at.q_mod(k, _argument(modulus, n), modulus)),
+        ("family", "mod", "n"), _qk_argument, "(the part k)",
+        labels=lambda k, modulus, n: {"k": k, "modulus": modulus, "n": n,
+                                      "argument": _argument(modulus, n)},
+        holds=_vanishes),
+}
+
+
+def _route(identity: str, backend: str) -> Route:
+    """The route ``backend`` names, once ``identity`` is known to run on it."""
+    at = _ROUTES[backend]
+    if SPECS[identity].backend == ORACLE != backend:
+        raise ValueError(f"{identity} has no closed form; use the oracle backend")
+    return at
+
+
+def _report(identity: str, args: tuple, lhs: int, rhs: int, backend: str) -> IdentityReport:
+    spec = SPECS[identity]
+    params = spec.labels(*args) if spec.labels else dict(zip(spec.params, args))
+    return IdentityReport(identity, params, lhs, rhs, spec.holds(lhs, rhs), backend)
+
+
+def _verify(identity: str, backend: str, *args: int) -> IdentityReport:
+    """One instance of ``identity`` on ``backend``: check, compute both sides, report."""
+    spec = SPECS[identity]
+    spec.span(*args)
+    lhs, rhs = spec.sides(_route(identity, backend), *args)
+    return _report(identity, args, lhs, rhs, backend)
+
+
+def verify_stanley(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """S(n) == Q_1(n)."""
+    return _verify("stanley", backend, n)
+
+
+def verify_extended_stanley(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """S(n) == Q_k(n) + Q_k(n+1) + ... + Q_k(n+k-1)."""
+    return _verify("extended_stanley", backend, n, k)
+
+
+def verify_lemma1(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """Q_k(n+k) == Q_k(n) + R_k(n+k)."""
+    return _verify("lemma1", backend, n, k)
+
+
+def verify_lemma2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """P(n) == R_k(n+k)."""
+    return _verify("lemma2", backend, n, k)
+
+
+def verify_result1(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """Q_1(n) == P(0) + P(1) + ... + P(n-1)."""
+    return _verify("result1", backend, n)
+
+
+def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """Q_k(n) == sum of P(i) over 0 <= i <= n-1 with i == n (mod k)."""
+    return _verify("result2", backend, n, k)
+
+
+def verify_elder(n: int, k: int, backend: str = ORACLE) -> IdentityReport:
+    """Occasions a part occurs k or more times == Q_k(n).  Oracle only."""
+    return _verify("elder", backend, n, k)
+
+
+def verify_ramanujan_p(family: int, n: int, backend: str = CLOSED_FORM) -> IdentityReport:
+    """P(family*n + d) == 0 mod family, for the 5, 7, 11 patterns."""
+    return _verify("ramanujan_p", backend, family, n)
 
 
 def verify_qk_congruence(
     k: int, modulus: int, n: int, backend: str = CLOSED_FORM
 ) -> IdentityReport:
     """Q_k(modulus*n + d) == 0 mod modulus, for the supported (k, modulus) pairs."""
-    argument = _qk_argument(k, modulus, n)
-    residue = _ROUTES[backend].q_mod(k, argument, modulus)
-    params = {"k": k, "modulus": modulus, "n": n, "argument": argument}
-    return IdentityReport("qk_congruence", params, residue, residue, residue == 0, backend)
+    return _verify("qk_congruence", backend, k, modulus, n)
 
 
 def verify_difference_identity(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
     """P(5n+4) == Q_5(5n+9) - Q_5(5n+4)."""
-    _require_nonnegative(n, "n")
-    at = _ROUTES[backend]
-    lhs = at.p(5 * n + 4)
-    rhs = at.q(5, 5 * n + 9) - at.q(5, 5 * n + 4)
-    return IdentityReport("difference_identity", {"n": n}, lhs, rhs, lhs == rhs, backend)
+    return _verify("difference_identity", backend, n)
 
 
-# sweep plumbing -------------------------------------------------------------
-
-
-class Spec(NamedTuple):
-    """How :func:`sweep` runs one identity.
-
-    ``params`` names the verifier's positional arguments in order: ``n`` and
-    ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole sweep.
-    ``backend`` is the route a sweep takes when it names none: the closed
-    form, or the oracle for an identity without one.  ``span`` maps the
-    verifier's arguments to the largest n it reads, which the oracle must
-    cover; a congruence's span checks the arguments as its verifier does.
-    """
-
-    verifier: Callable[..., IdentityReport]
-    params: tuple[str, ...]
-    span: Callable[..., int]
-    family_hint: str = ""
-    backend: str = CLOSED_FORM
-
-
-SPECS = {
-    "stanley": Spec(verify_stanley, ("n",), lambda n: n),
-    "extended_stanley": Spec(verify_extended_stanley, ("n", "k"), lambda n, k: n + k - 1),
-    "lemma1": Spec(verify_lemma1, ("n", "k"), lambda n, k: n + k),
-    "lemma2": Spec(verify_lemma2, ("n", "k"), lambda n, k: n + k),
-    "result1": Spec(verify_result1, ("n",), lambda n: n),
-    "result2": Spec(verify_result2, ("n", "k"), lambda n, k: n),
-    "difference_identity": Spec(verify_difference_identity, ("n",), lambda n: 5 * n + 9),
-    "elder": Spec(verify_elder, ("n", "k"), lambda n, k: n, backend=ORACLE),
-    "ramanujan_p": Spec(verify_ramanujan_p, ("family", "n"), _ramanujan_argument, "(5, 7 or 11)"),
-    "qk_congruence": Spec(verify_qk_congruence, ("family", "mod", "n"), _qk_argument,
-                          "(the part k)"),
-}
+# sweep ----------------------------------------------------------------------
 
 
 def _check_range(rng, name) -> tuple[int, int]:
@@ -308,7 +328,7 @@ def sweep(
     family: int | None = None,
     modulus: int | None = None,
 ) -> SweepResult:
-    """Run one verifier over the whole range, collecting every failure.
+    """Run one identity over the whole range, collecting every failure.
 
     Reports are generated in (n, k) order and the sweep never stops early,
     so the failure list is complete and deterministic.  ``backend`` defaults
@@ -353,9 +373,10 @@ def sweep(
     lead = tuple(fixed.values())
     modulus = fixed.get("mod", family)  # a congruence's modulus; None over Z
     span = spec.span
-    # Only a congruence's span checks arguments: it raises its verifier's errors
-    # here, before any table grows.  Other identities raise from their verifier.
+    # Every check is a lower bound, so the sweep's lowest corner raises the
+    # error its first failing instance would, before any table grows.
     span(*lead, n_lo, *k_tails[0])
+    legs = [(route, _route(identity, route)) for route in routes]
     top = span(*lead, n_hi, *k_tails[-1])
     reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
     if backend == ORACLE and top > reach:
@@ -365,18 +386,20 @@ def sweep(
         )
     prepare(top, modulus)
 
-    verifier = spec.verifier
+    sides, holds = spec.sides, spec.holds
     failures: list[IdentityReport] = []
-    total = 0
+    beyond = 0  # instances past the oracle's reach, which only both meets
     for n in range(n_lo, n_hi + 1):
         head = (*lead, n)
         for tail in k_tails:
             args = head + tail
-            total += 1
-            for route in routes:
+            for route, at in legs:
                 if route == ORACLE and span(*args) > reach:
+                    beyond += 1
                     continue
-                report = verifier(*args, backend=route)
-                if not report.passed:
-                    failures.append(report)
-    return SweepResult(identity, ", ".join(desc_parts), total, failures, backend)
+                lhs, rhs = sides(at, *args)
+                if not holds(lhs, rhs):
+                    failures.append(_report(identity, args, lhs, rhs, route))
+    total = (n_hi - n_lo + 1) * len(k_tails)
+    checked = {route: total - beyond if route == ORACLE else total for route in routes}
+    return SweepResult(identity, ", ".join(desc_parts), total, failures, backend, checked)

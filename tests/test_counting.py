@@ -488,6 +488,38 @@ def test_load_accepts_tampered_value_but_check_catches_it(tmp_path):
     assert consistency_check(table) == [4]
 
 
+# Ranges over -30..250 in either direction: a negative start, a negative
+# step, a step beyond the range and an empty range all come up, and the
+# small steps make reads of one residue class recur.
+sum_ranges = st.builds(range, st.integers(-30, 250), st.integers(-30, 250),
+                       st.one_of(st.integers(-4, 4), st.integers(-300, 300)).filter(bool))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([None, 2, 5, 25]),
+       st.lists(st.tuples(sum_ranges, st.integers(0, 260)), min_size=1, max_size=12))
+def test_partition_sum_is_the_per_term_sum_as_the_table_grows(modulus, reads):
+    table = CountTable() if modulus is None else ModCountTable(modulus)
+    for indices, top in reads:
+        table.extend(top)  # past, or short of, what the running sums hold
+        terms = [partition_count(i) for i in indices]
+        expected = sum(terms) if modulus is None else sum(v % modulus for v in terms)
+        for _ in range(2):  # a class's first read, or a later one, then a later one
+            assert partition_sum(indices, table) == expected, (indices, top)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(sum_ranges, max_size=6), sum_ranges, st.integers(0, 250))
+def test_partition_sum_never_reads_the_sums_of_replaced_values(others, indices, tampered):
+    values = [partition_count(i) for i in range(251)]
+    table = _table_of(values)
+    for read in [*others, indices, indices]:  # the class of indices now keeps running sums
+        assert partition_sum(read, table) == sum(values[i] for i in read if i >= 0)
+    values[tampered] += 1
+    table._values = values  # a new list, as load_table and _table_of set it
+    assert partition_sum(indices, table) == sum(values[i] for i in indices if i >= 0)
+
+
 def test_consistency_check_clean():
     assert consistency_check(CountTable().extend(50)) == []
 

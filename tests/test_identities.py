@@ -408,3 +408,70 @@ def test_sweep_both_keeps_one_oracle_call_per_term(monkeypatch):
     assert sweep("result2", (1, 80), (1, 4), backend=BOTH).ok
     assert seen == [m for n in range(1, 81) for k in range(1, 5)
                     for m in (n, *range(n % k or k, n, k))]
+
+
+def test_sweep_counts_the_instances_each_route_checked():
+    result = sweep("lemma2", (70, 90), (1, 2), backend=BOTH)
+    assert result.checked == {CLOSED_FORM: 42, ORACLE: 19}  # the oracle where n + k <= 80
+    assert sweep("lemma2", (70, 90), (1, 2)).checked == {CLOSED_FORM: 42}
+    assert sweep("elder", (1, 5), (1, 3)).checked == {ORACLE: 15}
+
+
+PUBLIC_VERIFIERS = {"qk_congruence": verify_qk_congruence, "elder": verify_elder,
+                    "lemma2": verify_lemma2}
+
+
+def _sweep_by_verifier(identity, lead, n_range, k_range, backend, description):
+    """The SweepResult of calling the public verifier once per instance and route."""
+    routes = [CLOSED_FORM, ORACLE] if backend == BOTH else [backend]
+    span = identities.SPECS[identity].span
+    tails = [()] if k_range is None else [(k,) for k in range(k_range[0], k_range[1] + 1)]
+    failures, checked, total = [], dict.fromkeys(routes, 0), 0
+    for n in range(n_range[0], n_range[1] + 1):
+        for tail in tails:
+            args = (*lead, n, *tail)
+            total += 1
+            for route in routes:
+                if route == ORACLE and span(*args) > partitions.DEFAULT_ENUMERATION_LIMIT:
+                    continue
+                checked[route] += 1
+                report = PUBLIC_VERIFIERS[identity](*args, backend=route)
+                if not report.passed:
+                    failures.append(report)
+    return identities.SweepResult(identity, description, total, failures, backend, checked)
+
+
+def _off_by_one_at(n_off):
+    real_stats = partitions.oracle_stats
+
+    def stats(n):
+        view = real_stats(n)
+        return view._replace(partition_count=view.partition_count + 1) if n == n_off else view
+
+    return stats
+
+
+@pytest.mark.parametrize("identity, lead, n_range, k_range, backend, description, off", [
+    ("qk_congruence", (5, 25), (0, 40), None, CLOSED_FORM, "family=5, mod=25, n=0..40", None),
+    ("qk_congruence", (5, 25), (0, 2), None, ORACLE, "family=5, mod=25, n=0..2", None),
+    ("qk_congruence", (5, 25), (0, 40), None, BOTH, "family=5, mod=25, n=0..40", None),
+    ("elder", (), (1, 12), (1, 4), ORACLE, "n=1..12, k=1..4", None),
+    ("lemma2", (), (30, 45), (1, 3), BOTH, "n=30..45, k=1..3", 37),
+])
+def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, lead, n_range,
+                                                        k_range, backend, description, off):
+    if off is not None:
+        monkeypatch.setattr(partitions, "oracle_stats", _off_by_one_at(off))
+    made = []
+    real_report = identities.IdentityReport
+    monkeypatch.setattr(identities, "IdentityReport",
+                        lambda *fields: made.append(fields) or real_report(*fields))
+    family, modulus = lead or (None, None)
+    result = sweep(identity, n_range, k_range, backend=backend, family=family, modulus=modulus)
+    assert len(made) == len(result.failures)  # a report for each failure, none for a pass
+    assert result.ok == (identity == "elder")
+    assert result == _sweep_by_verifier(identity, lead, n_range, k_range, backend, description)
+    if off is not None:  # P(37) off on the oracle: lhs at n = 37, rhs where n + k = 37
+        assert [(f.params["n"], f.params["k"], f.backend) for f in result.failures] == [
+            (34, 3, ORACLE), (35, 2, ORACLE), (36, 1, ORACLE),
+            (37, 1, ORACLE), (37, 2, ORACLE), (37, 3, ORACLE)]
