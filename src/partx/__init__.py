@@ -26,7 +26,7 @@ _OWNERS = {
         "partition_count_mod",
         "save_table",
     ),
-    "identities": ("IdentityReport", "SweepResult", "sweep"),
+    "identities": ("IdentityReport", "SweepResult", "sweep", "verify"),
     "partitions": (
         "DEFAULT_ENUMERATION_LIMIT",
         "PartitionStats",

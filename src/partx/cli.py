@@ -62,6 +62,8 @@ def _emit_csv(rows: list[list]) -> None:
 
 def _check_cache_dir(path: str) -> None:
     # Before any work: a table that cannot be saved must not print an answer first.
+    if not path:
+        raise ValueError("--cache needs a file path, got an empty one")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ValueError(f"cache {path}: no directory {folder}")
@@ -74,9 +76,9 @@ def _load_cache(args) -> tuple[CountTable | None, int]:
     ``stored`` is the number of entries in the file (0 when it is absent).
     A table that --verify-cache finds wrong ends the command with exit 1.
     """
-    if args.verify_cache and not args.cache:
+    if args.verify_cache and args.cache is None:
         raise ValueError("--verify-cache requires --cache")
-    if not args.cache:
+    if args.cache is None:
         return None, 0
     _check_cache_dir(args.cache)
     if os.path.exists(args.cache):

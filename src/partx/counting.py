@@ -47,9 +47,7 @@ running sums per (step, residue class) read more than once, and grows a
 list on demand: ``itertools.accumulate`` runs over the new stride slice,
 from the last stored sum.  So a sweep over consecutive n pays O(1) per
 read, while a class read once, as by a one-shot ``stats`` or ``table``, is
-one slice sum and keeps no sums.  The sums belong to the list of values
-they were taken of; a table whose values are replaced (as
-:func:`load_table` does) starts its sums again.  Residue tables are served
+one slice sum and keeps no sums.  Residue tables are served
 by the same statistic functions: ``partition_count_mod`` and
 ``occurrence_count_mod`` run ``partition_count`` and ``occurrence_count`` on
 one shared table per modulus, whose running sums add residues.
@@ -177,16 +175,18 @@ def _blocks(values: list[int], new_max: int, modulus: int, width: int) -> None:
 class CountTable:
     """Append-only memo of P(0..max_n).
 
-    Entries never change once computed; extension only appends.  Concurrent
-    readers of existing entries are safe, extension is not synchronized.
+    ``values`` (default ``[1]``, P(0) alone) become the table's own list, not
+    a copy.  Entries never change once computed; extension only appends.
+    Concurrent readers of existing entries are safe, extension is not
+    synchronized.
     """
 
     __slots__ = ("_values", "_sums")
 
-    def __init__(self):
-        self._values = [1]  # P(0) = 1
-        # The running sums of :func:`partition_sum`, with the list they were taken of.
-        self._sums: tuple[list[int], dict[tuple[int, int], list[int]]] = (self._values, {})
+    def __init__(self, values: list[int] | None = None):
+        self._values = [1] if values is None else values
+        # The running sums of :func:`partition_sum`, by (step, residue class).
+        self._sums: dict[tuple[int, int], list[int]] = {}
 
     @property
     def max_n(self) -> int:
@@ -219,8 +219,7 @@ class ModCountTable(CountTable):
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
-        super().__init__()
-        self._values[0] = 1 % modulus
+        super().__init__([1 % modulus])
 
     def extend(self, new_max: int) -> "ModCountTable":
         _extend(self._values, new_max, self.modulus)
@@ -285,11 +284,7 @@ def partition_sum(indices: range, table: CountTable | None = None) -> int:
     t = _TABLE if table is None else table
     first, last = indices[0], indices[-1]
     partition_count(last, t)  # one extension covers every term
-    values = t._values
-    summed, sums = t._sums
-    if summed is not values:  # the values were replaced (load_table): drop every sum
-        sums = {}
-        t._sums = (values, sums)
+    values, sums = t._values, t._sums
     residue = first % step
     # run[j] is the sum of P(residue + i*step) over i < j.
     run = sums.get((step, residue))
@@ -474,9 +469,7 @@ def load_table(path) -> CountTable:
     if (list(map(int, fields[1:-1:2])) != list(range(entries))
             or values[0] != 1 or not all(map(le, values, islice(values, 1, None)))):
         raise _first_fault(_rejoin(fields))
-    table = CountTable()
-    table._values = values
-    return table
+    return CountTable(values)
 
 
 def _rejoin(fields: list[bytes]) -> list[bytes]:

@@ -3,8 +3,9 @@
 Each identity is a relation between P, S, Q_k and R_k.  Its two sides are
 written once, as the ``sides(route, *args)`` of its :class:`Spec` in
 :data:`SPECS`, over a route: :data:`_ROUTES` maps each backend to a
-:class:`Route` of statistics over Z and mod m, and ``prepare``.  The public
-``verify_*`` functions and :func:`sweep` both compute an instance there.
+:class:`Route` of statistics over Z and mod m, and ``prepare``.
+:func:`verify` (one instance) and :func:`sweep` (a range of them) both
+compute an instance there, so a new identity is one ``SPECS`` row.
 
 * ``closed_form`` reads the recurrence table of :mod:`partx.counting`.  S
   and Q_k are differences of running sums of that table, so stanley,
@@ -19,7 +20,7 @@ on every call, so swapping those references (as ``perfbench/spans.py``
 does) reaches every statistic.
 
 :func:`sweep` runs an identity over a rectangle of (n, k) values.  It
-checks the arguments once, with the verifiers' own errors, calls its
+checks the arguments once, with :func:`verify`'s own errors, calls its
 route's ``prepare`` once (the closed form grows its table to the sweep's
 top, over Z or mod m), then computes each instance's sides and builds an
 :class:`IdentityReport` only for an instance that fails.  ``both`` runs the
@@ -56,9 +57,6 @@ class IdentityReport(NamedTuple):
     passed: bool
     backend: str
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class SweepResult(NamedTuple):
     identity: str
@@ -77,7 +75,7 @@ class SweepResult(NamedTuple):
             "identity": self.identity,
             "range": self.range_description,
             "total": self.total_checked,
-            "failures": [f.as_dict() for f in self.failures],
+            "failures": [f._asdict() for f in self.failures],
         }
 
 
@@ -108,7 +106,7 @@ def _oracle_p(n: int) -> int:
     return partitions.oracle_stats(n).partition_count if n else 1
 
 
-# Every verifier validates its arguments first, so the oracle sees n >= 1.
+# verify and sweep check their arguments first, so the oracle sees n >= 1.
 _ROUTES = _Routes({
     CLOSED_FORM: Route(
         p=lambda n: counting.partition_count(n),
@@ -180,17 +178,18 @@ def _vanishes(lhs: int, rhs: int) -> bool:
 
 
 class Spec(NamedTuple):
-    """One identity: its two sides over a route, and how :func:`sweep` runs it.
+    """One identity: its two sides over a route, and how it is run.
 
     ``sides(route, *args)`` computes the identity's lhs and rhs on ``route``
     from the arguments named by ``params``, in order: ``n`` and ``k`` are
     swept, ``family`` and ``mod`` stay fixed for the whole sweep.  The
-    instance passes when ``holds(lhs, rhs)``.  ``span`` checks the arguments,
-    raising the verifier's errors, and returns the largest n they read,
-    which the oracle must cover.  ``labels`` gives a report's params (by
-    default ``params`` with their values).  ``backend`` is the route a sweep
-    takes when it names none: the closed form, or the oracle for an
-    identity without one, which refuses every other route.
+    instance passes when ``holds(lhs, rhs)``.  ``span`` checks the
+    arguments, raising the errors that :func:`verify` and :func:`sweep`
+    report, and returns the largest n they read, which the oracle must
+    cover.  ``labels`` gives a report's params (by default ``params`` with
+    their values).  ``backend`` is the route taken when none is named: the
+    closed form, or the oracle for an identity without one, which refuses
+    every other route.
     """
 
     sides: Callable[..., tuple[int, int]]
@@ -247,64 +246,30 @@ def _report(identity: str, args: tuple, lhs: int, rhs: int, backend: str) -> Ide
     return IdentityReport(identity, params, lhs, rhs, spec.holds(lhs, rhs), backend)
 
 
-def _verify(identity: str, backend: str, *args: int) -> IdentityReport:
-    """One instance of ``identity`` on ``backend``: check, compute both sides, report."""
-    spec = SPECS[identity]
+def _spec(identity: str) -> Spec:
+    """The spec of ``identity``: the one place an unknown name is refused."""
+    spec = SPECS.get(identity)
+    if spec is None:
+        raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
+    return spec
+
+
+def verify(identity: str, *args: int, backend: str | None = None) -> IdentityReport:
+    """One instance of ``identity``, at the values of its spec's ``params`` in order.
+
+    ``backend`` defaults to the identity's own, as in :func:`sweep`:
+    ``verify("lemma2", 4, 1, backend="oracle")`` checks P(4) == R_1(5) by
+    counting from the definitions.
+    """
+    spec = _spec(identity)
+    if len(args) != len(spec.params):
+        raise TypeError(f"{identity} takes {len(spec.params)} arguments "
+                        f"({', '.join(spec.params)}), got {len(args)}")
+    if backend is None:
+        backend = spec.backend
     spec.span(*args)
     lhs, rhs = spec.sides(_route(identity, backend), *args)
     return _report(identity, args, lhs, rhs, backend)
-
-
-def verify_stanley(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """S(n) == Q_1(n)."""
-    return _verify("stanley", backend, n)
-
-
-def verify_extended_stanley(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """S(n) == Q_k(n) + Q_k(n+1) + ... + Q_k(n+k-1)."""
-    return _verify("extended_stanley", backend, n, k)
-
-
-def verify_lemma1(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """Q_k(n+k) == Q_k(n) + R_k(n+k)."""
-    return _verify("lemma1", backend, n, k)
-
-
-def verify_lemma2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """P(n) == R_k(n+k)."""
-    return _verify("lemma2", backend, n, k)
-
-
-def verify_result1(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """Q_1(n) == P(0) + P(1) + ... + P(n-1)."""
-    return _verify("result1", backend, n)
-
-
-def verify_result2(n: int, k: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """Q_k(n) == sum of P(i) over 0 <= i <= n-1 with i == n (mod k)."""
-    return _verify("result2", backend, n, k)
-
-
-def verify_elder(n: int, k: int, backend: str = ORACLE) -> IdentityReport:
-    """Occasions a part occurs k or more times == Q_k(n).  Oracle only."""
-    return _verify("elder", backend, n, k)
-
-
-def verify_ramanujan_p(family: int, n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """P(family*n + d) == 0 mod family, for the 5, 7, 11 patterns."""
-    return _verify("ramanujan_p", backend, family, n)
-
-
-def verify_qk_congruence(
-    k: int, modulus: int, n: int, backend: str = CLOSED_FORM
-) -> IdentityReport:
-    """Q_k(modulus*n + d) == 0 mod modulus, for the supported (k, modulus) pairs."""
-    return _verify("qk_congruence", backend, k, modulus, n)
-
-
-def verify_difference_identity(n: int, backend: str = CLOSED_FORM) -> IdentityReport:
-    """P(5n+4) == Q_5(5n+9) - Q_5(5n+4)."""
-    return _verify("difference_identity", backend, n)
 
 
 # sweep ----------------------------------------------------------------------
@@ -339,15 +304,13 @@ def sweep(
     """
     n_lo, n_hi = _check_range(n_range, "n")
     k_bounds = None if k_range is None else _check_range(k_range, "k")
-    spec = SPECS.get(identity)
-    if spec is None:
-        raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
+    spec = _spec(identity)
     if backend is None:
         backend = spec.backend
     routes = [CLOSED_FORM, ORACLE] if backend == BOTH else [backend]
     prepare = _ROUTES[routes[0]].prepare  # raises on an unknown backend
 
-    fixed = {}  # the verifier's leading arguments, the same for every instance
+    fixed = {}  # verify's leading arguments, the same for every instance
     if "family" not in spec.params:
         if family is not None or modulus is not None:
             raise ValueError(f"{identity} does not take a family or modulus")

@@ -113,7 +113,7 @@ def test_criterion_06_elder():
     for n in range(1, 36):
         for k in range(1, n + 1):
             checked += 1
-            if not identities.verify_elder(n, k).passed:
+            if not identities.verify("elder", n, k).passed:
                 failures += 1
     ok = checked == 630 and failures == 0
     _report("criterion 6: elder_count(n,k) == Q_k(n) for n<=35, k<=n", ok,

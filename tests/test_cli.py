@@ -493,6 +493,18 @@ def test_cache_in_a_missing_directory_fails_before_any_output(capsys, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    [*command, *flag]
+    for command in (["count", "5"], ["stats", "5"], ["table", "5", "--kmax", "2"])
+    for flag in ([], ["--verify-cache"])
+] + [["cache", "build", "--max", "3"], ["cache", "check"]])
+def test_empty_cache_path_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--cache", "")
+    assert (code, out) == (2, "") and err.startswith("partx: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_path_that_is_a_directory_is_an_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "count", "5", "--cache", str(tmp_path))
     assert (code, out) == (2, "") and str(tmp_path) in err
@@ -624,7 +636,8 @@ def test_cli_import_skips_unused_modules(tmp_path):
     assert _loaded_after("import partx\n"
                          "for name in partx.__all__:\n"
                          "    assert getattr(partx, name) is not None, name\n"
-                         "assert partx.sweep is partx.identities.sweep") >= unused
+                         "assert partx.sweep is partx.identities.sweep\n"
+                         "assert partx.verify is partx.identities.verify") >= unused
 
 
 # Every command under "Command line" in README, with the exit code and the

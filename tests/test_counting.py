@@ -450,9 +450,7 @@ nondecreasing_tables = st.lists(st.integers(0, 10**30), max_size=40).map(
 
 
 def _table_of(values):
-    table = CountTable()
-    table._values = list(values)
-    return table
+    return CountTable(list(values))
 
 
 @settings(deadline=None, max_examples=50)
@@ -510,14 +508,22 @@ def test_partition_sum_is_the_per_term_sum_as_the_table_grows(modulus, reads):
 
 @settings(deadline=None, max_examples=40)
 @given(st.lists(sum_ranges, max_size=6), sum_ranges, st.integers(0, 250))
-def test_partition_sum_never_reads_the_sums_of_replaced_values(others, indices, tampered):
+def test_partition_sum_never_reads_the_sums_of_another_table(others, indices, tampered):
     values = [partition_count(i) for i in range(251)]
     table = _table_of(values)
     for read in [*others, indices, indices]:  # the class of indices now keeps running sums
         assert partition_sum(read, table) == sum(values[i] for i in read if i >= 0)
     values[tampered] += 1
-    table._values = values  # a new list, as load_table and _table_of set it
+    table = _table_of(values)  # built as load_table builds one
     assert partition_sum(indices, table) == sum(values[i] for i in indices if i >= 0)
+
+
+def test_count_table_runs_on_from_the_values_it_is_built_with():
+    values = [1, 1, 2]
+    table = CountTable(values)
+    assert table.extend(6).values == values == [1, 1, 2, 3, 5, 7, 11]
+    assert CountTable().values == [1]
+    assert ModCountTable(5).extend(6).values == [1, 1, 2, 3, 0, 2, 1]
 
 
 def test_consistency_check_clean():

@@ -1,102 +1,87 @@
 import pytest
 
 from partx import counting, identities, partitions
-from partx.identities import (
-    BOTH,
-    CLOSED_FORM,
-    ORACLE,
-    sweep,
-    verify_difference_identity,
-    verify_elder,
-    verify_extended_stanley,
-    verify_lemma1,
-    verify_lemma2,
-    verify_qk_congruence,
-    verify_ramanujan_p,
-    verify_result1,
-    verify_result2,
-    verify_stanley,
-)
+from partx.identities import BOTH, CLOSED_FORM, ORACLE, sweep, verify
 
 
 def test_stanley_table_example():
-    report = verify_stanley(4, backend=ORACLE)
+    report = verify("stanley", 4, backend=ORACLE)
     assert (report.lhs, report.rhs, report.passed) == (7, 7, True)
     assert report.identity == "stanley"
     assert report.params == {"n": 4}
 
 
 def test_stanley_base_case():
-    report = verify_stanley(1)
+    report = verify("stanley", 1)
     assert (report.lhs, report.rhs, report.passed) == (1, 1, True)
 
 
 def test_stanley_backends_agree():
-    oracle = verify_stanley(30, backend=ORACLE)
-    closed = verify_stanley(30, backend=CLOSED_FORM)
+    oracle = verify("stanley", 30, backend=ORACLE)
+    closed = verify("stanley", 30, backend=CLOSED_FORM)
     assert (oracle.lhs, oracle.rhs) == (closed.lhs, closed.rhs)
     assert oracle.passed and closed.passed
 
 
 def test_extended_stanley_examples():
-    report = verify_extended_stanley(4, 3)
+    report = verify("extended_stanley", 4, 3)
     # column k=3: Q_3(4)+Q_3(5)+Q_3(6) = 1+2+4
     assert (report.lhs, report.rhs, report.passed) == (7, 7, True)
-    report = verify_extended_stanley(4, 4)
+    report = verify("extended_stanley", 4, 4)
     assert (report.lhs, report.rhs, report.passed) == (7, 7, True)
-    k1 = verify_extended_stanley(4, 1)
-    plain = verify_stanley(4)
+    k1 = verify("extended_stanley", 4, 1)
+    plain = verify("stanley", 4)
     assert (k1.lhs, k1.rhs) == (plain.lhs, plain.rhs)
 
 
 def test_lemma1_examples():
-    report = verify_lemma1(4, 5)
+    report = verify("lemma1", 4, 5)
     assert (report.lhs, report.rhs, report.passed) == (5, 5, True)
-    report = verify_lemma1(1, 1, backend=ORACLE)
+    report = verify("lemma1", 1, 1, backend=ORACLE)
     assert (report.lhs, report.rhs, report.passed) == (2, 2, True)
-    report = verify_lemma1(3, 2, backend=ORACLE)
+    report = verify("lemma1", 3, 2, backend=ORACLE)
     assert report.passed
 
 
 def test_lemma2_examples():
-    report = verify_lemma2(4, 1, backend=ORACLE)
+    report = verify("lemma2", 4, 1, backend=ORACLE)
     assert (report.lhs, report.rhs, report.passed) == (5, 5, True)
-    report = verify_lemma2(4, 4, backend=ORACLE)
+    report = verify("lemma2", 4, 4, backend=ORACLE)
     direct = sum(1 for p in partitions.enumerate_partitions(8) if 4 in p)
     assert report.lhs == 5 and report.rhs == direct == 5
-    report = verify_lemma2(1, 1)
+    report = verify("lemma2", 1, 1)
     assert (report.lhs, report.rhs) == (1, 1)
 
 
 def test_result1_example():
-    report = verify_result1(4)
+    report = verify("result1", 4)
     assert (report.lhs, report.rhs, report.passed) == (7, 7, True)
 
 
 def test_result2_examples():
-    report = verify_result2(6, 3)
+    report = verify("result2", 6, 3)
     assert (report.lhs, report.rhs, report.passed) == (4, 4, True)
-    report = verify_result2(3, 5)
+    report = verify("result2", 3, 5)
     assert (report.lhs, report.rhs, report.passed) == (0, 0, True)
 
 
 def test_result2_oracle_matches_direct_sum():
-    report = verify_result2(11, 4, backend=ORACLE)
+    report = verify("result2", 11, 4, backend=ORACLE)
     assert report.passed
     expected = sum(counting.partition_count(i) for i in range(11) if i % 4 == 11 % 4)
     assert report.rhs == expected
 
 
 def test_elder_examples():
-    assert (verify_elder(4, 2).lhs, verify_elder(4, 2).rhs) == (3, 3)
-    assert verify_elder(4, 1).passed
-    report = verify_elder(12, 3)
+    assert (verify("elder", 4, 2).lhs, verify("elder", 4, 2).rhs) == (3, 3)
+    assert verify("elder", 4, 1).passed
+    report = verify("elder", 12, 3)
     assert report.passed and report.backend == ORACLE
 
 
 def test_ramanujan_p_first_cases():
     for family in (5, 7, 11):
-        report = verify_ramanujan_p(family, 0)
+        report = verify("ramanujan_p", family, 0)
         assert report.passed, family
         assert report.lhs == report.rhs == 0
         assert report.params["argument"] == {5: 4, 7: 5, 11: 6}[family]
@@ -104,22 +89,22 @@ def test_ramanujan_p_first_cases():
 
 def test_ramanujan_p_rejects():
     with pytest.raises(ValueError):
-        verify_ramanujan_p(13, 0)
+        verify("ramanujan_p", 13, 0)
     with pytest.raises(ValueError):
-        verify_ramanujan_p(5, -1)
+        verify("ramanujan_p", 5, -1)
 
 
 def test_qk_congruence_mod5():
-    report = verify_qk_congruence(5, 5, 1)  # Q_5(9) = 5
+    report = verify("qk_congruence", 5, 5, 1)  # Q_5(9) = 5
     assert report.passed and report.lhs == 0
-    report = verify_qk_congruence(5, 5, 0)  # Q_5(4) = 0
+    report = verify("qk_congruence", 5, 5, 0)  # Q_5(4) = 0
     assert report.passed
 
 
 def test_qk_congruence_higher_power_is_refuted():
     # Q_5(24) = P(19)+P(14)+P(9)+P(4) = 660 = 26*25 + 10, so the mod-25
     # pattern fails already at n=0; the verifier must report that honestly.
-    report = verify_qk_congruence(5, 25, 0)
+    report = verify("qk_congruence", 5, 25, 0)
     assert report.lhs == 10
     assert report.passed is False
     oracle_q = partitions.oracle_stats(24).occurrences(5)
@@ -128,46 +113,47 @@ def test_qk_congruence_higher_power_is_refuted():
 
 def test_qk_congruence_rejects_unsupported():
     with pytest.raises(ValueError, match="supported"):
-        verify_qk_congruence(5, 7, 0)
+        verify("qk_congruence", 5, 7, 0)
     with pytest.raises(ValueError):
-        verify_qk_congruence(3, 5, 0)
+        verify("qk_congruence", 3, 5, 0)
 
 
 def test_difference_identity():
-    report = verify_difference_identity(0)
+    report = verify("difference_identity", 0)
     assert (report.lhs, report.rhs, report.passed) == (5, 5, True)
-    report = verify_difference_identity(1, backend=ORACLE)
+    report = verify("difference_identity", 1, backend=ORACLE)
     assert (report.lhs, report.rhs) == (30, 30)
-    assert verify_difference_identity(3).passed
+    assert verify("difference_identity", 3).passed
 
 
 def test_backend_agreement_sample():
     for n, k in ((2, 1), (7, 3), (12, 5), (20, 8)):
-        for verifier in (verify_extended_stanley, verify_lemma1, verify_lemma2, verify_result2):
-            a = verifier(n, k, backend=ORACLE)
-            b = verifier(n, k, backend=CLOSED_FORM)
-            assert (a.lhs, a.rhs) == (b.lhs, b.rhs), (verifier.__name__, n, k)
+        for identity in ("extended_stanley", "lemma1", "lemma2", "result2"):
+            a = verify(identity, n, k, backend=ORACLE)
+            b = verify(identity, n, k, backend=CLOSED_FORM)
+            assert (a.lhs, a.rhs) == (b.lhs, b.rhs), (identity, n, k)
 
 
 def test_unknown_backend_rejected():
-    # Every verifier that takes a backend; one loop keeps the test's id stable.
-    for verifier, args in ((verify_stanley, (4,)), (verify_extended_stanley, (4, 2)),
-                           (verify_lemma1, (4, 2)), (verify_lemma2, (4, 2)),
-                           (verify_result1, (4,)), (verify_result2, (4, 2)),
-                           (verify_difference_identity, (1,)), (verify_elder, (4, 2))):
+    # Every identity; one loop keeps the test's id stable.
+    for identity, args in (("stanley", (4,)), ("extended_stanley", (4, 2)),
+                           ("lemma1", (4, 2)), ("lemma2", (4, 2)),
+                           ("result1", (4,)), ("result2", (4, 2)),
+                           ("difference_identity", (1,)), ("elder", (4, 2)),
+                           ("ramanujan_p", (5, 1)), ("qk_congruence", (5, 5, 1))):
         with pytest.raises(ValueError, match="^unknown backend 'series'$"):
-            verifier(*args, backend="series")
+            verify(identity, *args, backend="series")
 
 
 def test_elder_refuses_the_closed_form():
     with pytest.raises(ValueError, match="^elder has no closed form; use the oracle backend$"):
-        verify_elder(5, 2, backend=CLOSED_FORM)
-    assert verify_elder(5, 2, backend=ORACLE) == verify_elder(5, 2)
+        verify("elder", 5, 2, backend=CLOSED_FORM)
+    assert verify("elder", 5, 2, backend=ORACLE) == verify("elder", 5, 2)
 
 
 def test_report_as_dict():
-    report = verify_extended_stanley(4, 3)
-    assert report.as_dict() == {
+    report = verify("extended_stanley", 4, 3)
+    assert report._asdict() == {
         "identity": "extended_stanley",
         "params": {"n": 4, "k": 3},
         "lhs": 7,
@@ -176,13 +162,13 @@ def test_report_as_dict():
         "backend": CLOSED_FORM,
     }
     # Reports are named tuples: they unpack into their six fields, compare
-    # equal to the plain tuple, and as_dict keeps the field order.
+    # equal to the plain tuple, and _asdict keeps the field order.
     identity, params, lhs, rhs, passed, backend = report
     assert (identity, params, lhs, rhs, passed, backend) == (
         "extended_stanley", {"n": 4, "k": 3}, 7, 7, True, CLOSED_FORM)
     assert report == tuple(report)
     fields = ["identity", "params", "lhs", "rhs", "passed", "backend"]
-    assert list(report.as_dict()) == list(report._fields) == fields
+    assert list(report._asdict()) == list(report._fields) == fields
     result = sweep("extended_stanley", (4, 4), (3, 3))
     assert result.as_dict() == {
         "identity": "extended_stanley",
@@ -192,8 +178,25 @@ def test_report_as_dict():
     }
 
 
+def test_verify_and_sweep_refuse_an_unknown_identity_alike():
+    message = "^unknown identity 'bogus'; known: stanley, extended_stanley, "
+    with pytest.raises(ValueError, match=message) as by_verify:
+        verify("bogus", 1)
+    with pytest.raises(ValueError, match=message) as by_sweep:
+        sweep("bogus", (1, 1))
+    assert str(by_verify.value) == str(by_sweep.value)
+
+
+def test_verify_takes_the_params_of_its_spec():
+    assert verify("qk_congruence", 5, 5, 1).params == {"k": 5, "modulus": 5, "n": 1,
+                                                       "argument": 9}
+    for identity, args in (("stanley", ()), ("lemma2", (4,)), ("ramanujan_p", (5, 1, 2))):
+        with pytest.raises(TypeError, match=f"^{identity} takes "):
+            verify(identity, *args)
+
+
 def test_reports_are_deterministic():
-    assert verify_lemma1(6, 2).as_dict() == verify_lemma1(6, 2).as_dict()
+    assert verify("lemma1", 6, 2)._asdict() == verify("lemma1", 6, 2)._asdict()
 
 
 def test_sweep_extended_stanley_closed():
@@ -356,15 +359,15 @@ def test_sweep_congruences_take_only_closed_form(backend):
 
 
 def test_closed_and_oracle_residues_agree_up_to_the_cap():
-    cases = [(verify_ramanujan_p, (m,)) for m in identities.RAMANUJAN_FAMILIES]
-    cases += [(verify_qk_congruence, pair) for pair in identities.QK_CONGRUENCES]
+    cases = [("ramanujan_p", (m,)) for m in identities.RAMANUJAN_FAMILIES]
+    cases += [("qk_congruence", pair) for pair in identities.QK_CONGRUENCES]
     checked = 0
-    for verify, lead in cases:
+    for identity, lead in cases:
         for n in range(81):
-            closed = verify(*lead, n)
+            closed = verify(identity, *lead, n)
             if closed.params["argument"] > partitions.DEFAULT_ENUMERATION_LIMIT:
                 break
-            oracle = verify(*lead, n, backend=ORACLE)
+            oracle = verify(identity, *lead, n, backend=ORACLE)
             assert (oracle.lhs, oracle.params) == (closed.lhs, closed.params), (lead, n)
             checked += 1
     assert checked == 71
@@ -389,10 +392,10 @@ def test_sweep_result_reports_its_backend():
 
 @pytest.mark.parametrize("n", [1, 2, 12, 80, 81, 997, 3000])
 def test_closed_form_result_sums_equal_per_term_sums(n):
-    report = verify_result1(n)
+    report = verify("result1", n)
     assert report.passed and report.rhs == sum(counting.partition_count(i) for i in range(n))
     for k in sorted({1, 2, 3, 7, max(1, n - 1), n, n + 1, n + 5}):  # n % k == 0 and k > n too
-        report = verify_result2(n, k)
+        report = verify("result2", n, k)
         expected = sum(counting.partition_count(i) for i in range(n % k, n, k))
         assert report.passed and report.rhs == expected, (n, k)
 
@@ -417,12 +420,8 @@ def test_sweep_counts_the_instances_each_route_checked():
     assert sweep("elder", (1, 5), (1, 3)).checked == {ORACLE: 15}
 
 
-PUBLIC_VERIFIERS = {"qk_congruence": verify_qk_congruence, "elder": verify_elder,
-                    "lemma2": verify_lemma2}
-
-
 def _sweep_by_verifier(identity, lead, n_range, k_range, backend, description):
-    """The SweepResult of calling the public verifier once per instance and route."""
+    """The SweepResult of calling :func:`verify` once per instance and route."""
     routes = [CLOSED_FORM, ORACLE] if backend == BOTH else [backend]
     span = identities.SPECS[identity].span
     tails = [()] if k_range is None else [(k,) for k in range(k_range[0], k_range[1] + 1)]
@@ -435,7 +434,7 @@ def _sweep_by_verifier(identity, lead, n_range, k_range, backend, description):
                 if route == ORACLE and span(*args) > partitions.DEFAULT_ENUMERATION_LIMIT:
                     continue
                 checked[route] += 1
-                report = PUBLIC_VERIFIERS[identity](*args, backend=route)
+                report = verify(identity, *args, backend=route)
                 if not report.passed:
                     failures.append(report)
     return identities.SweepResult(identity, description, total, failures, backend, checked)
@@ -457,6 +456,13 @@ def _off_by_one_at(n_off):
     ("qk_congruence", (5, 25), (0, 40), None, BOTH, "family=5, mod=25, n=0..40", None),
     ("elder", (), (1, 12), (1, 4), ORACLE, "n=1..12, k=1..4", None),
     ("lemma2", (), (30, 45), (1, 3), BOTH, "n=30..45, k=1..3", 37),
+    ("stanley", (), (1, 40), None, BOTH, "n=1..40", None),
+    ("extended_stanley", (), (1, 20), (1, 4), CLOSED_FORM, "n=1..20, k=1..4", None),
+    ("lemma1", (), (1, 20), (1, 4), ORACLE, "n=1..20, k=1..4", None),
+    ("result1", (), (1, 30), None, ORACLE, "n=1..30", None),
+    ("result2", (), (30, 45), (1, 3), BOTH, "n=30..45, k=1..3", 37),
+    ("difference_identity", (), (0, 20), None, BOTH, "n=0..20", None),  # oracle to n = 14
+    ("ramanujan_p", (7,), (0, 12), None, BOTH, "family=7, n=0..12", None),  # oracle to n = 10
 ])
 def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, lead, n_range,
                                                         k_range, backend, description, off):
@@ -466,12 +472,12 @@ def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, l
     real_report = identities.IdentityReport
     monkeypatch.setattr(identities, "IdentityReport",
                         lambda *fields: made.append(fields) or real_report(*fields))
-    family, modulus = lead or (None, None)
+    family, modulus = (*lead, None, None)[:2]
     result = sweep(identity, n_range, k_range, backend=backend, family=family, modulus=modulus)
     assert len(made) == len(result.failures)  # a report for each failure, none for a pass
-    assert result.ok == (identity == "elder")
+    assert result.ok == (off is None and modulus != 25)  # P(37) off, or the refuted pattern
     assert result == _sweep_by_verifier(identity, lead, n_range, k_range, backend, description)
-    if off is not None:  # P(37) off on the oracle: lhs at n = 37, rhs where n + k = 37
+    if identity == "lemma2":  # P(37) off on the oracle: lhs at n = 37, rhs where n + k = 37
         assert [(f.params["n"], f.params["k"], f.backend) for f in result.failures] == [
             (34, 3, ORACLE), (35, 2, ORACLE), (36, 1, ORACLE),
             (37, 1, ORACLE), (37, 2, ORACLE), (37, 3, ORACLE)]
