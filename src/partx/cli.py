@@ -278,6 +278,7 @@ def _cmd_cache(args) -> int:
     # check
     if args.max is not None:
         raise ValueError("cache check does not take --max")
+    _check_cache_dir(args.cache)
     table = counting.load_table(args.cache)
     bad = counting.consistency_check(table)
     if bad:

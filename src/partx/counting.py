@@ -50,7 +50,8 @@ read, while a class read once, as by a one-shot ``stats`` or ``table``, is
 one slice sum and keeps no sums.  Residue tables are served
 by the same statistic functions: ``partition_count_mod`` and
 ``occurrence_count_mod`` run ``partition_count`` and ``occurrence_count`` on
-one shared table per modulus, whose running sums add residues.
+one shared table per modulus (:func:`mod_table`), whose running sums add
+residues.
 
 :func:`consistency_check` checks a stored table against the recurrence.
 On a multi-core host a table of more than 8,192 entries is cut into up to
@@ -243,10 +244,12 @@ def partition_count(n: int, table: CountTable | None = None) -> int:
         return values[n]
 
 
-def _mod_table(modulus: int) -> ModCountTable:
-    # ModCountTable rejects a bad modulus before anything is stored.  The
-    # key goes through index() first: 5.0 hashes like 5 and would fetch
-    # the mod-5 table.
+def mod_table(modulus: int) -> ModCountTable:
+    """The one shared table of P mod ``modulus``, for any statistic's ``table``.
+
+    ModCountTable rejects a bad modulus before anything is stored.  The key
+    goes through index() first: 5.0 hashes like 5 and would fetch mod 5's.
+    """
     modulus = index(modulus)
     t = _MOD_TABLES.get(modulus)
     if t is None:
@@ -256,7 +259,7 @@ def _mod_table(modulus: int) -> ModCountTable:
 
 def partition_count_mod(n: int, modulus: int) -> int:
     """P(n) mod modulus via the all-residue recurrence."""
-    return partition_count(n, _mod_table(modulus))
+    return partition_count(n, mod_table(modulus))
 
 
 def count_containing(k: int, n: int, table: CountTable | None = None) -> int:
@@ -307,7 +310,7 @@ def occurrence_count(k: int, n: int, table: CountTable | None = None) -> int:
 
 def occurrence_count_mod(k: int, n: int, modulus: int) -> int:
     """Q_k(n) mod modulus, summed entirely in residues."""
-    return occurrence_count(k, n, _mod_table(modulus)) % modulus
+    return occurrence_count(k, n, mod_table(modulus)) % modulus
 
 
 def distinct_members(n: int, table: CountTable | None = None) -> int:

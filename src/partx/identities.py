@@ -2,35 +2,36 @@
 
 Each identity is a relation between P, S, Q_k and R_k.  Its two sides are
 written once, as the ``sides(route, *args)`` of its :class:`Spec` in
-:data:`SPECS`, over a route: :data:`_ROUTES` maps each backend to a
-:class:`Route` of statistics over Z and mod m, and ``prepare``.
-:func:`verify` (one instance) and :func:`sweep` (a range of them) both
-compute an instance there, so a new identity is one ``SPECS`` row.
+:data:`SPECS`, over a :class:`Route` of the five statistics.
+:data:`_ROUTES` maps each backend to a builder ``(top, modulus) -> Route``
+that readies the statistics up to n = top, over Z or mod ``modulus``.
+:func:`verify` (one instance, over Z) and :func:`sweep` (a range of them,
+over the congruence's ring) both take their spec and builders from
+:func:`_plan`, so a new identity is one ``SPECS`` row and a new route one
+builder.
 
-* ``closed_form`` reads the recurrence table of :mod:`partx.counting`.  S
-  and Q_k are differences of running sums of that table, so stanley,
-  result1 and result2 compare a sum of the table with itself, and lemma2
-  an entry with itself: here they cannot fail.
+* ``closed_form`` reads the recurrence table of :mod:`partx.counting`, of
+  integers or of residues, grown once to ``top``.  S and Q_k are
+  differences of running sums of that table, so stanley, result1 and
+  result2 compare a sum of the table with itself, and lemma2 an entry
+  with itself: here they cannot fail.
 * ``oracle`` counts from the definitions with the coin-change oracle of
-  :mod:`partx.partitions`, one call per term of a sum, and reaches up to its
-  ``DEFAULT_ENUMERATION_LIMIT``.  It is the independent check.
+  :mod:`partx.partitions`, one call per term of a sum, exactly in every
+  ring, up to its ``DEFAULT_ENUMERATION_LIMIT``.  It is the independent
+  check.
 
 The routes look ``counting`` and ``partitions`` up in this module's globals
 on every call, so swapping those references (as ``perfbench/spans.py``
 does) reaches every statistic.
 
-:func:`sweep` runs an identity over a rectangle of (n, k) values.  It
-checks the arguments once, with :func:`verify`'s own errors, calls its
-route's ``prepare`` once (the closed form grows its table to the sweep's
-top, over Z or mod m), then computes each instance's sides and builds an
+:func:`sweep` checks its arguments once, with :func:`verify`'s own errors,
+builds each route once, then computes each instance's sides and builds an
 :class:`IdentityReport` only for an instance that fails.  ``both`` runs the
-closed form, then the oracle wherever the instance is within its reach,
-and the result counts the instances each route checked.  An identity whose
-default backend is the oracle (elder) refuses every other route.  The
-congruence checks (``ramanujan_p``, ``qk_congruence``) read residues off
-their route: the all-residue recurrence, or the oracle's exact counts
-reduced mod m.  Their reports carry the residue as both lhs and rhs and
-pass exactly when it is 0.
+closed form, then the oracle wherever the instance is within its reach.
+An identity whose default backend is the oracle (elder) refuses every
+other route.  The congruence checks (``ramanujan_p``, ``qk_congruence``)
+reduce their route's count mod m; their reports carry the residue as both
+lhs and rhs and pass exactly when it is 0.
 """
 
 from __future__ import annotations
@@ -80,57 +81,43 @@ class SweepResult(NamedTuple):
 
 
 class Route(NamedTuple):
-    """One way to compute the statistics, over Z and (``p_mod``, ``q_mod``) mod m.
-
-    ``prepare(top, modulus)`` readies it for a sweep up to n = top, mod
-    ``modulus`` (None: over Z).
-    """
+    """The five statistics along one route: exact over Z, congruent to them mod m."""
 
     p: Callable[[int], int]
     p_sum: Callable[[range], int]
     s: Callable[[int], int]
     q: Callable[[int, int], int]
     r: Callable[[int, int], int]
-    p_mod: Callable[[int, int], int]
-    q_mod: Callable[[int, int, int], int]
-    prepare: Callable[[int, int | None], object]
 
 
-class _Routes(dict):
-    def __missing__(self, backend):
-        raise ValueError(f"unknown backend {backend!r}")
+def _closed(top: int, modulus: int | None) -> Route:
+    """The recurrence table over Z, or of residues mod ``modulus``, grown once to ``top``."""
+    table = None if modulus is None else counting.mod_table(modulus)
+    counting.partition_count(top, table)
+    return Route(
+        p=lambda n: counting.partition_count(n, table),
+        p_sum=lambda indices: counting.partition_sum(indices, table),
+        s=lambda n: counting.distinct_members(n, table),
+        q=lambda k, n: counting.occurrence_count(k, n, table),
+        r=lambda k, n: counting.count_containing(k, n, table),
+    )
 
 
-def _oracle_p(n: int) -> int:
-    # P(0) = 1 (the empty partition) enters the result1 and result2 sums.
-    return partitions.oracle_stats(n).partition_count if n else 1
+def _oracle(top: int, modulus: int | None) -> Route:
+    """The oracle's exact counts, right in every ring; its tables grow as they are read."""
+    def p(n: int) -> int:
+        return partitions.oracle_stats(n).partition_count
 
-
-# verify and sweep check their arguments first, so the oracle sees n >= 1.
-_ROUTES = _Routes({
-    CLOSED_FORM: Route(
-        p=lambda n: counting.partition_count(n),
-        p_sum=lambda indices: counting.partition_sum(indices),
-        s=lambda n: counting.distinct_members(n),
-        q=lambda k, n: counting.occurrence_count(k, n),
-        r=lambda k, n: counting.count_containing(k, n),
-        p_mod=lambda n, m: counting.partition_count_mod(n, m),
-        q_mod=lambda k, n, m: counting.occurrence_count_mod(k, n, m),
-        # One extension, over Z or mod m, serves a whole sweep.
-        prepare=lambda top, m: (counting.partition_count(top) if m is None
-                                else counting.partition_count_mod(top, m)),
-    ),
-    ORACLE: Route(
-        p=_oracle_p,
-        p_sum=lambda indices: sum(map(_oracle_p, indices)),
+    return Route(
+        p=p,
+        p_sum=lambda indices: sum(map(p, indices)),
         s=lambda n: partitions.oracle_stats(n).distinct_member_total,
         q=lambda k, n: partitions.oracle_stats(n).occurrences(k),
         r=lambda k, n: partitions.oracle_stats(n).containing(k),
-        p_mod=lambda n, m: _oracle_p(n) % m,
-        q_mod=lambda k, n, m: partitions.oracle_stats(n).occurrences(k) % m,
-        prepare=lambda top, m: None,
-    ),
-})
+    )
+
+
+_ROUTES: dict[str, Callable[[int, int | None], Route]] = {CLOSED_FORM: _closed, ORACLE: _oracle}
 
 
 def _positive(n: int, k: int = 1) -> int:
@@ -180,13 +167,15 @@ def _vanishes(lhs: int, rhs: int) -> bool:
 class Spec(NamedTuple):
     """One identity: its two sides over a route, and how it is run.
 
-    ``sides(route, *args)`` computes the identity's lhs and rhs on ``route``
-    from the arguments named by ``params``, in order: ``n`` and ``k`` are
-    swept, ``family`` and ``mod`` stay fixed for the whole sweep.  The
-    instance passes when ``holds(lhs, rhs)``.  ``span`` checks the
-    arguments, raising the errors that :func:`verify` and :func:`sweep`
-    report, and returns the largest n they read, which the oracle must
-    cover.  ``labels`` gives a report's params (by default ``params`` with
+    ``sides(route, *args)`` computes the identity's lhs and rhs on a
+    :class:`Route` from the arguments named by ``params``, in order: ``n``
+    and ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole
+    sweep.  A congruence's sides reduce the route's count mod m, so they
+    hold on a route over Z or mod m alike.  The instance passes when
+    ``holds(lhs, rhs)``.  ``span`` checks the arguments, raising the errors
+    that :func:`verify` and :func:`sweep` report, and returns the largest n
+    they read: every route is built up to it, and the oracle must cover
+    it.  ``labels`` gives a report's params (by default ``params`` with
     their values).  ``backend`` is the route taken when none is named: the
     closed form, or the oracle for an identity without one, which refuses
     every other route.
@@ -218,26 +207,18 @@ SPECS = {
     "elder": Spec(lambda at, n, k: (partitions.elder_count(n, k), at.q(k, n)),
                   ("n", "k"), _positive, backend=ORACLE),
     "ramanujan_p": Spec(
-        lambda at, family, n: _residue(at.p_mod(_argument(family, n), family)),
+        lambda at, family, n: _residue(at.p(_argument(family, n)) % family),
         ("family", "n"), _ramanujan_argument, "(5, 7 or 11)",
         labels=lambda family, n: {"family": family, "n": n,
                                   "argument": _argument(family, n), "modulus": family},
         holds=_vanishes),
     "qk_congruence": Spec(
-        lambda at, k, modulus, n: _residue(at.q_mod(k, _argument(modulus, n), modulus)),
+        lambda at, k, modulus, n: _residue(at.q(k, _argument(modulus, n)) % modulus),
         ("family", "mod", "n"), _qk_argument, "(the part k)",
         labels=lambda k, modulus, n: {"k": k, "modulus": modulus, "n": n,
                                       "argument": _argument(modulus, n)},
         holds=_vanishes),
 }
-
-
-def _route(identity: str, backend: str) -> Route:
-    """The route ``backend`` names, once ``identity`` is known to run on it."""
-    at = _ROUTES[backend]
-    if SPECS[identity].backend == ORACLE != backend:
-        raise ValueError(f"{identity} has no closed form; use the oracle backend")
-    return at
 
 
 def _report(identity: str, args: tuple, lhs: int, rhs: int, backend: str) -> IdentityReport:
@@ -246,12 +227,23 @@ def _report(identity: str, args: tuple, lhs: int, rhs: int, backend: str) -> Ide
     return IdentityReport(identity, params, lhs, rhs, spec.holds(lhs, rhs), backend)
 
 
-def _spec(identity: str) -> Spec:
-    """The spec of ``identity``: the one place an unknown name is refused."""
+def _plan(identity: str, backend: str | None) -> tuple[Spec, str, list[tuple[str, Callable]]]:
+    """The spec, the backend (by default the identity's own) and its (route, builder) pairs.
+
+    The one place that refuses an unknown identity or backend, and every
+    route but the oracle for an identity with no closed form.
+    """
     spec = SPECS.get(identity)
     if spec is None:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(SPECS)}")
-    return spec
+    if backend is None:
+        backend = spec.backend
+    if backend != BOTH and backend not in _ROUTES:
+        raise ValueError(f"unknown backend {backend!r}")
+    if spec.backend == ORACLE != backend:
+        raise ValueError(f"{identity} has no closed form; use the oracle backend")
+    names = [CLOSED_FORM, ORACLE] if backend == BOTH else [backend]
+    return spec, backend, [(name, _ROUTES[name]) for name in names]
 
 
 def verify(identity: str, *args: int, backend: str | None = None) -> IdentityReport:
@@ -259,17 +251,21 @@ def verify(identity: str, *args: int, backend: str | None = None) -> IdentityRep
 
     ``backend`` defaults to the identity's own, as in :func:`sweep`:
     ``verify("lemma2", 4, 1, backend="oracle")`` checks P(4) == R_1(5) by
-    counting from the definitions.
+    counting from the definitions.  ``both`` runs the closed form, then the
+    oracle, and returns the first report that fails, else the oracle's.
+    Every route is built over Z, so a congruence reduces exact counts.
     """
-    spec = _spec(identity)
+    spec, _, builders = _plan(identity, backend)
     if len(args) != len(spec.params):
         raise TypeError(f"{identity} takes {len(spec.params)} arguments "
                         f"({', '.join(spec.params)}), got {len(args)}")
-    if backend is None:
-        backend = spec.backend
-    spec.span(*args)
-    lhs, rhs = spec.sides(_route(identity, backend), *args)
-    return _report(identity, args, lhs, rhs, backend)
+    span = spec.span(*args)
+    for route, build in builders:
+        lhs, rhs = spec.sides(build(span, None), *args)
+        report = _report(identity, args, lhs, rhs, route)
+        if not report.passed:
+            break
+    return report
 
 
 # sweep ----------------------------------------------------------------------
@@ -302,13 +298,9 @@ def sweep(
     backend in turn (``both``: the closed form, then the oracle), and on
     the oracle only where its span is within the oracle's reach.
     """
+    spec, backend, builders = _plan(identity, backend)
     n_lo, n_hi = _check_range(n_range, "n")
     k_bounds = None if k_range is None else _check_range(k_range, "k")
-    spec = _spec(identity)
-    if backend is None:
-        backend = spec.backend
-    routes = [CLOSED_FORM, ORACLE] if backend == BOTH else [backend]
-    prepare = _ROUTES[routes[0]].prepare  # raises on an unknown backend
 
     fixed = {}  # verify's leading arguments, the same for every instance
     if "family" not in spec.params:
@@ -339,7 +331,6 @@ def sweep(
     # Every check is a lower bound, so the sweep's lowest corner raises the
     # error its first failing instance would, before any table grows.
     span(*lead, n_lo, *k_tails[0])
-    legs = [(route, _route(identity, route)) for route in routes]
     top = span(*lead, n_hi, *k_tails[-1])
     reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
     if backend == ORACLE and top > reach:
@@ -347,7 +338,7 @@ def sweep(
         raise ValueError(
             f"{identity} needs the oracle up to n={top}, beyond its limit of {reach}{hint}"
         )
-    prepare(top, modulus)
+    legs = [(route, build(top, modulus)) for route, build in builders]
 
     sides, holds = spec.sides, spec.holds
     failures: list[IdentityReport] = []
@@ -364,5 +355,5 @@ def sweep(
                 if not holds(lhs, rhs):
                     failures.append(_report(identity, args, lhs, rhs, route))
     total = (n_hi - n_lo + 1) * len(k_tails)
-    checked = {route: total - beyond if route == ORACLE else total for route in routes}
+    checked = {route: total - beyond if route == ORACLE else total for route, _ in legs}
     return SweepResult(identity, ", ".join(desc_parts), total, failures, backend, checked)

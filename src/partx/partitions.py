@@ -145,10 +145,11 @@ def oracle_stats(n: int) -> PartitionStats:
     * R_k(n) = P(n) - A_k(n)
     * S(n)   = sum over k of R_k(n)
 
+    n = 0 gives P(0) = 1 (the empty partition), S(0) = 0 and Q_k(0) = R_k(0) = 0.
     Each call returns a new view on the tables, which grow geometrically
     up to the limit; nothing is kept per n.
     """
-    if not 0 < n < len(_p):
+    if not 0 <= n < len(_p):
         _grow_tables(n)
     return PartitionStats(n, _p[n], _s[n])
 

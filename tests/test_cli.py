@@ -484,12 +484,13 @@ def test_cache_query_inside_table_leaves_file_untouched(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["count", "5"], ["stats", "5"], ["table", "5", "--kmax", "2"], ["cache", "build", "--max", "5"],
+    ["cache", "check"],
 ])
 def test_cache_in_a_missing_directory_fails_before_any_output(capsys, tmp_path, argv):
     path = tmp_path / "nofile" / "x.txt"
     code, out, err = run_cli(capsys, *argv, "--cache", str(path))
     assert (code, out) == (2, "")
-    assert str(path) in err and ".tmp" not in err
+    assert err == f"partx: error: cache {path}: no directory {path.parent}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -501,7 +502,8 @@ def test_cache_in_a_missing_directory_fails_before_any_output(capsys, tmp_path, 
 def test_empty_cache_path_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv, "--cache", "")
-    assert (code, out) == (2, "") and err.startswith("partx: error: ")
+    assert (code, out) == (2, "")
+    assert err == "partx: error: --cache needs a file path, got an empty one\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -85,12 +85,15 @@ def test_distinct_members():
 
 
 def test_oracle_equivalence():
-    # The closed-form and oracle routes of ``verify`` agree on every statistic
-    # up to the oracle cap; the sums of P start at P(0) = 1.
-    closed = identities._ROUTES[identities.CLOSED_FORM]
-    oracle = identities._ROUTES[identities.ORACLE]
+    # The closed-form and oracle routes of ``verify``, each built by its
+    # builder over Z, agree on every statistic up to the oracle cap; the sums
+    # of P start at P(0) = 1.
+    cap = partitions.DEFAULT_ENUMERATION_LIMIT
+    closed = identities._ROUTES[identities.CLOSED_FORM](cap, None)
+    oracle = identities._ROUTES[identities.ORACLE](cap, None)
+    assert identities.Route._fields == ("p", "p_sum", "s", "q", "r")
     assert closed.p(0) == oracle.p(0) == 1
-    for n in range(1, 81):
+    for n in range(1, cap + 1):
         assert closed.p(n) == oracle.p(n), n
         assert closed.s(n) == oracle.s(n), n
         for k in range(1, n + 2):

@@ -143,12 +143,37 @@ def test_unknown_backend_rejected():
                            ("ramanujan_p", (5, 1)), ("qk_congruence", (5, 5, 1))):
         with pytest.raises(ValueError, match="^unknown backend 'series'$"):
             verify(identity, *args, backend="series")
+    with pytest.raises(ValueError, match="^unknown backend 'series'$"):
+        verify("lemma2", 0, 1, backend="series")  # before the n = 0 error
 
 
 def test_elder_refuses_the_closed_form():
     with pytest.raises(ValueError, match="^elder has no closed form; use the oracle backend$"):
         verify("elder", 5, 2, backend=CLOSED_FORM)
+    with pytest.raises(ValueError, match="^elder has no closed form; use the oracle backend$"):
+        verify("elder", 0, 2, backend=BOTH)  # before the n = 0 error
     assert verify("elder", 5, 2, backend=ORACLE) == verify("elder", 5, 2)
+
+
+def test_verify_both_runs_each_route(monkeypatch):
+    assert verify("lemma2", 4, 1, backend=BOTH) == ("lemma2", {"n": 4, "k": 1}, 5, 5, True,
+                                                    ORACLE)
+    # The closed form's P(24) is off by one and its report is returned; P(24) = 1575.
+    values = counting._TABLE.extend(24)._values
+    values[24] += 1
+    try:
+        report = verify("ramanujan_p", 5, 4, backend=BOTH)
+    finally:
+        values[24] -= 1
+    assert report == ("ramanujan_p", {"family": 5, "n": 4, "argument": 24, "modulus": 5},
+                      1, 1, False, CLOSED_FORM)
+    # The closed form passes; the oracle's P(37) is off by one, and its report is returned.
+    monkeypatch.setattr(partitions, "oracle_stats", _off_by_one_at(37))
+    assert verify("lemma2", 37, 1, backend=BOTH) == ("lemma2", {"n": 37, "k": 1}, 21638, 21637,
+                                                     False, ORACLE)
+    assert verify("lemma2", 37, 1, backend=CLOSED_FORM).passed
+    with pytest.raises(ValueError, match="^n=81 is beyond the limit of 80 for the oracle"):
+        verify("lemma2", 80, 1, backend=BOTH)
 
 
 def test_report_as_dict():
@@ -296,6 +321,13 @@ def test_sweep_elder_refuses_other_routes_before_counting(monkeypatch):
         sweep("elder", (1, 5), (1, 3), backend=BOTH)
     with pytest.raises(ValueError, match="^unknown backend 'series'$"):
         sweep("elder", (1, 5), (1, 3), backend="series")
+    # The route is refused before the arguments: n = 0, a missing k range and
+    # an empty n range each raise their own error on the oracle.
+    for args in (((0, 5), (1, 3)), ((1, 5), None), ((5, 1), (1, 3))):
+        with pytest.raises(ValueError, match="^elder has no closed form; use the oracle backend$"):
+            sweep("elder", *args, backend=CLOSED_FORM)
+        with pytest.raises(ValueError, match="^unknown backend 'series'$"):
+            sweep("elder", *args, backend="series")
 
 
 def test_sweep_reads_the_oracle_reach_once(monkeypatch):
@@ -405,12 +437,12 @@ def test_sweep_both_keeps_one_oracle_call_per_term(monkeypatch):
     real_stats = partitions.oracle_stats
     monkeypatch.setattr(partitions, "oracle_stats", lambda n: seen.append(n) or real_stats(n))
     assert sweep("result1", (1, 80), backend=BOTH).ok
-    # lhs Q_1(n), then P(1..n-1); P(0) = 1 needs no oracle
-    assert seen == [m for n in range(1, 81) for m in (n, *range(1, n))]
+    # lhs Q_1(n), then P(0..n-1): the oracle answers P(0) = 1 too
+    assert seen == [m for n in range(1, 81) for m in (n, *range(0, n))]
     seen.clear()
     assert sweep("result2", (1, 80), (1, 4), backend=BOTH).ok
     assert seen == [m for n in range(1, 81) for k in range(1, 5)
-                    for m in (n, *range(n % k or k, n, k))]
+                    for m in (n, *range(n % k, n, k))]
 
 
 def test_sweep_counts_the_instances_each_route_checked():
@@ -463,11 +495,17 @@ def _off_by_one_at(n_off):
     ("result2", (), (30, 45), (1, 3), BOTH, "n=30..45, k=1..3", 37),
     ("difference_identity", (), (0, 20), None, BOTH, "n=0..20", None),  # oracle to n = 14
     ("ramanujan_p", (7,), (0, 12), None, BOTH, "family=7, n=0..12", None),  # oracle to n = 10
+    # arguments 504..554 and 1004..1054, across the residue table's block edges
+    ("ramanujan_p", (5,), (100, 110), None, CLOSED_FORM, "family=5, n=100..110", None),
+    ("ramanujan_p", (5,), (200, 210), None, CLOSED_FORM, "family=5, n=200..210", None),
 ])
 def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, lead, n_range,
                                                         k_range, backend, description, off):
     if off is not None:
         monkeypatch.setattr(partitions, "oracle_stats", _off_by_one_at(off))
+    # A congruence sweep grows a fresh residue table; verify reduces the bigint
+    # table, so the two agree only if every residue the sweep reads is right.
+    monkeypatch.setattr(counting, "_MOD_TABLES", {})
     made = []
     real_report = identities.IdentityReport
     monkeypatch.setattr(identities, "IdentityReport",

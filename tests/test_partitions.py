@@ -65,6 +65,24 @@ def test_oracle_stats_for_four():
     assert st.containing(1) == 3  # [3,1], [2,1,1], [1,1,1,1]
 
 
+@pytest.mark.parametrize("fresh", [False, True])
+def test_oracle_stats_of_zero(monkeypatch, fresh):
+    # P(0) = 1 (the empty partition), S(0) = 0, and no part occurs in it.
+    if fresh:  # the tables as at import, before any growth
+        for name, value in (("_p", [1]), ("_avoid", [[]]), ("_s", [0])):
+            monkeypatch.setattr(partitions, name, value)
+    else:
+        oracle_stats(40)
+    st = oracle_stats(0)
+    assert st == (0, 1, 0)
+    assert [st.occurrences(k) for k in range(1, 6)] == [0] * 5
+    assert [st.containing(k) for k in range(1, 6)] == [0] * 5
+    for call in (lambda: oracle_stats(-1), lambda: elder_count(0, 1),
+                 lambda: next(enumerate_partitions(0))):
+        with pytest.raises(ValueError, match="for n >= 1, got n="):
+            call()
+
+
 def test_oracle_stats_q5_of_nine():
     assert oracle_stats(9).occurrences(5) == 5
 
