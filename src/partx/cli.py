@@ -279,6 +279,8 @@ def _cmd_cache(args) -> int:
     if args.max is not None:
         raise ValueError("cache check does not take --max")
     _check_cache_dir(args.cache)
+    if not os.path.exists(args.cache):
+        raise ValueError(f"cache {args.cache}: no such file")
     table = counting.load_table(args.cache)
     bad = counting.consistency_check(table)
     if bad:

@@ -5,16 +5,15 @@ written once, as the ``sides(route, *args)`` of its :class:`Spec` in
 :data:`SPECS`, over a :class:`Route` of the five statistics.
 :data:`_ROUTES` maps each backend to a builder ``(top, modulus) -> Route``
 that readies the statistics up to n = top, over Z or mod ``modulus``.
-:func:`verify` (one instance, over Z) and :func:`sweep` (a range of them,
-over the congruence's ring) both take their spec and builders from
-:func:`_plan`, so a new identity is one ``SPECS`` row and a new route one
-builder.
+:func:`verify` (one instance) and :func:`sweep` (a range of them) take
+their spec and builders from :func:`_plan` and run in one :func:`_run`, so
+a new identity is one ``SPECS`` row and a new route one builder.
 
 * ``closed_form`` reads the recurrence table of :mod:`partx.counting`, of
-  integers or of residues, grown once to ``top``.  S and Q_k are
-  differences of running sums of that table, so stanley, result1 and
-  result2 compare a sum of the table with itself, and lemma2 an entry
-  with itself: here they cannot fail.
+  integers or of residues, grown once to ``top``.  S, Q_k and R_k are sums
+  of that table, so stanley, extended_stanley, lemma1, lemma2, result1,
+  result2 and difference_identity are rearrangements here: both sides are
+  the same sum of table entries, and a wrong entry cannot make them differ.
 * ``oracle`` counts from the definitions with the coin-change oracle of
   :mod:`partx.partitions`, one call per term of a sum, exactly in every
   ring, up to its ``DEFAULT_ENUMERATION_LIMIT``.  It is the independent
@@ -24,18 +23,17 @@ The routes look ``counting`` and ``partitions`` up in this module's globals
 on every call, so swapping those references (as ``perfbench/spans.py``
 does) reaches every statistic.
 
-:func:`sweep` checks its arguments once, with :func:`verify`'s own errors,
-builds each route once, then computes each instance's sides and builds an
-:class:`IdentityReport` only for an instance that fails.  ``both`` runs the
-closed form, then the oracle wherever the instance is within its reach.
-An identity whose default backend is the oracle (elder) refuses every
-other route.  The congruence checks (``ramanujan_p``, ``qk_congruence``)
-reduce their route's count mod m; their reports carry the residue as both
-lhs and rhs and pass exactly when it is 0.
+``both`` runs the closed form, then the oracle wherever the instance is
+within its reach.  An identity whose default backend is the oracle (elder)
+refuses every other route.  A congruence (``ramanujan_p``,
+``qk_congruence``) runs over the ring of its modulus; its reports carry the
+residue as both lhs and rhs and pass exactly when it is 0.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
 from operator import eq
 from typing import Callable, NamedTuple
 
@@ -221,12 +219,6 @@ SPECS = {
 }
 
 
-def _report(identity: str, args: tuple, lhs: int, rhs: int, backend: str) -> IdentityReport:
-    spec = SPECS[identity]
-    params = spec.labels(*args) if spec.labels else dict(zip(spec.params, args))
-    return IdentityReport(identity, params, lhs, rhs, spec.holds(lhs, rhs), backend)
-
-
 def _plan(identity: str, backend: str | None) -> tuple[Spec, str, list[tuple[str, Callable]]]:
     """The spec, the backend (by default the identity's own) and its (route, builder) pairs.
 
@@ -246,26 +238,59 @@ def _plan(identity: str, backend: str | None) -> tuple[Spec, str, list[tuple[str
     return spec, backend, [(name, _ROUTES[name]) for name in names]
 
 
+def _run(identity: str, spec: Spec, backend: str, builders: list[tuple[str, Callable]],
+         ranges: list, every: bool = False) -> tuple[list[IdentityReport], dict[str, int]]:
+    """The reports (failing ones only, unless ``every``) and the instances each route ran.
+
+    The instances are ``product(*ranges)``, one range per name of
+    ``spec.params``.  Each route is built once, up to the largest n they
+    read and over the congruence's ring; the oracle skips an instance past
+    its reach, and refuses the run when it is the only route.
+    """
+    span = spec.span
+    # Every check is a lower bound, so the lowest corner raises the error its
+    # first failing instance would, before any table grows.
+    span(*(values[0] for values in ranges))
+    top = span(*(values[-1] for values in ranges))
+    reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
+    if backend == ORACLE and top > reach:
+        hint = "; use the closed form (--backend closed)" if spec.backend == CLOSED_FORM else ""
+        raise ValueError(f"{identity} needs the oracle up to n={top}, beyond its limit of {reach}"
+                         + hint)
+    named = dict(zip(spec.params, ranges))
+    modulus = named.get("mod", named.get("family", (None,)))[0]  # None over Z
+    legs = [(route, build(top, modulus)) for route, build in builders]
+
+    sides, holds, labels = spec.sides, spec.holds, spec.labels
+    reports: list[IdentityReport] = []
+    beyond = 0  # instances past the oracle's reach, which only both meets
+    for args in product(*ranges):
+        for route, at in legs:
+            if route == ORACLE and span(*args) > reach:
+                beyond += 1
+                continue
+            lhs, rhs = sides(at, *args)
+            if every or not holds(lhs, rhs):
+                params = labels(*args) if labels else dict(zip(spec.params, args))
+                reports.append(IdentityReport(identity, params, lhs, rhs, holds(lhs, rhs), route))
+    total = prod(map(len, ranges))
+    return reports, {route: total - beyond if route == ORACLE else total for route, _ in legs}
+
+
 def verify(identity: str, *args: int, backend: str | None = None) -> IdentityReport:
     """One instance of ``identity``, at the values of its spec's ``params`` in order.
 
-    ``backend`` defaults to the identity's own, as in :func:`sweep`:
-    ``verify("lemma2", 4, 1, backend="oracle")`` checks P(4) == R_1(5) by
-    counting from the definitions.  ``both`` runs the closed form, then the
-    oracle, and returns the first report that fails, else the oracle's.
-    Every route is built over Z, so a congruence reduces exact counts.
+    It runs as a one-instance :func:`sweep`: a congruence reads the residue
+    table of its modulus, and past the oracle's reach ``oracle`` raises the
+    sweep's error while ``both`` runs the closed form alone.  ``both``
+    returns the first report that fails, else the last route's.
     """
-    spec, _, builders = _plan(identity, backend)
+    spec, backend, builders = _plan(identity, backend)
     if len(args) != len(spec.params):
         raise TypeError(f"{identity} takes {len(spec.params)} arguments "
                         f"({', '.join(spec.params)}), got {len(args)}")
-    span = spec.span(*args)
-    for route, build in builders:
-        lhs, rhs = spec.sides(build(span, None), *args)
-        report = _report(identity, args, lhs, rhs, route)
-        if not report.passed:
-            break
-    return report
+    reports, _ = _run(identity, spec, backend, builders, [(a,) for a in args], every=True)
+    return next((r for r in reports if not r.passed), reports[-1])
 
 
 # sweep ----------------------------------------------------------------------
@@ -294,15 +319,13 @@ def sweep(
     Reports are generated in (n, k) order and the sweep never stops early,
     so the failure list is complete and deterministic.  ``backend`` defaults
     to the identity's own (``SPECS[identity].backend``), and the result
-    records the one that ran.  Each instance runs on every route of the
-    backend in turn (``both``: the closed form, then the oracle), and on
-    the oracle only where its span is within the oracle's reach.
+    records the one that ran and the instances each of its routes checked.
     """
     spec, backend, builders = _plan(identity, backend)
     n_lo, n_hi = _check_range(n_range, "n")
     k_bounds = None if k_range is None else _check_range(k_range, "k")
 
-    fixed = {}  # verify's leading arguments, the same for every instance
+    fixed = {}  # the leading arguments, family and mod, the same for every instance
     if "family" not in spec.params:
         if family is not None or modulus is not None:
             raise ValueError(f"{identity} does not take a family or modulus")
@@ -314,46 +337,16 @@ def sweep(
         fixed = {"family": family}
     else:
         raise ValueError(f"{identity} checks mod the family itself")
-    desc_parts = [f"{name}={value}" for name, value in fixed.items()] + [f"n={n_lo}..{n_hi}"]
-    k_tails = [()]
+    ranges = {name: (value,) for name, value in fixed.items()} | {"n": range(n_lo, n_hi + 1)}
     if "k" in spec.params:
         if k_bounds is None:
             raise ValueError(f"{identity} needs a k range")
-        k_lo, k_hi = k_bounds
-        desc_parts.append(f"k={k_lo}..{k_hi}")
-        k_tails = [(k,) for k in range(k_lo, k_hi + 1)]
+        ranges["k"] = range(k_bounds[0], k_bounds[1] + 1)
     elif k_bounds is not None:
         raise ValueError(f"{identity} does not take a k range")
+    description = ", ".join(f"{name}={r[0]}" if name in fixed else f"{name}={r[0]}..{r[-1]}"
+                            for name, r in ranges.items())
 
-    lead = tuple(fixed.values())
-    modulus = fixed.get("mod", family)  # a congruence's modulus; None over Z
-    span = spec.span
-    # Every check is a lower bound, so the sweep's lowest corner raises the
-    # error its first failing instance would, before any table grows.
-    span(*lead, n_lo, *k_tails[0])
-    top = span(*lead, n_hi, *k_tails[-1])
-    reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
-    if backend == ORACLE and top > reach:
-        hint = "; use the closed form (--backend closed)" if spec.backend == CLOSED_FORM else ""
-        raise ValueError(
-            f"{identity} needs the oracle up to n={top}, beyond its limit of {reach}{hint}"
-        )
-    legs = [(route, build(top, modulus)) for route, build in builders]
-
-    sides, holds = spec.sides, spec.holds
-    failures: list[IdentityReport] = []
-    beyond = 0  # instances past the oracle's reach, which only both meets
-    for n in range(n_lo, n_hi + 1):
-        head = (*lead, n)
-        for tail in k_tails:
-            args = head + tail
-            for route, at in legs:
-                if route == ORACLE and span(*args) > reach:
-                    beyond += 1
-                    continue
-                lhs, rhs = sides(at, *args)
-                if not holds(lhs, rhs):
-                    failures.append(_report(identity, args, lhs, rhs, route))
-    total = (n_hi - n_lo + 1) * len(k_tails)
-    checked = {route: total - beyond if route == ORACLE else total for route, _ in legs}
-    return SweepResult(identity, ", ".join(desc_parts), total, failures, backend, checked)
+    failures, checked = _run(identity, spec, backend, builders, list(ranges.values()))
+    total = checked[builders[0][0]]  # the first route runs every instance
+    return SweepResult(identity, description, total, failures, backend, checked)

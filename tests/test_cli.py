@@ -507,6 +507,14 @@ def test_empty_cache_path_is_an_input_error(capsys, tmp_path, monkeypatch, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cache_check_of_a_missing_file_names_the_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "cache", "check", "--cache", "missing.txt")
+    assert (code, out) == (2, "")
+    assert err == "partx: error: cache missing.txt: no such file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_path_that_is_a_directory_is_an_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "count", "5", "--cache", str(tmp_path))
     assert (code, out) == (2, "") and str(tmp_path) in err

@@ -1,7 +1,7 @@
 import pytest
 
 from partx import counting, identities, partitions
-from partx.identities import BOTH, CLOSED_FORM, ORACLE, sweep, verify
+from partx.identities import BOTH, CLOSED_FORM, ORACLE, SPECS, sweep, verify
 
 
 def test_stanley_table_example():
@@ -158,8 +158,8 @@ def test_elder_refuses_the_closed_form():
 def test_verify_both_runs_each_route(monkeypatch):
     assert verify("lemma2", 4, 1, backend=BOTH) == ("lemma2", {"n": 4, "k": 1}, 5, 5, True,
                                                     ORACLE)
-    # The closed form's P(24) is off by one and its report is returned; P(24) = 1575.
-    values = counting._TABLE.extend(24)._values
+    # The closed form's P(24) mod 5 is off by one and its report is returned; P(24) = 1575.
+    values = counting.mod_table(5).extend(24)._values
     values[24] += 1
     try:
         report = verify("ramanujan_p", 5, 4, backend=BOTH)
@@ -172,8 +172,53 @@ def test_verify_both_runs_each_route(monkeypatch):
     assert verify("lemma2", 37, 1, backend=BOTH) == ("lemma2", {"n": 37, "k": 1}, 21638, 21637,
                                                      False, ORACLE)
     assert verify("lemma2", 37, 1, backend=CLOSED_FORM).passed
-    with pytest.raises(ValueError, match="^n=81 is beyond the limit of 80 for the oracle"):
-        verify("lemma2", 80, 1, backend=BOTH)
+    # Past the oracle's reach, both is the closed form alone, and the oracle refuses.
+    assert verify("lemma2", 80, 1, backend=BOTH) == ("lemma2", {"n": 80, "k": 1}, 15796476,
+                                                     15796476, True, CLOSED_FORM)
+    with pytest.raises(ValueError, match="^lemma2 needs the oracle up to n=81, beyond its "
+                                         "limit of 80; use the closed form"):
+        verify("lemma2", 80, 1, backend=ORACLE)
+    with pytest.raises(ValueError, match="^elder needs the oracle up to n=81, beyond its "
+                                         "limit of 80$"):
+        verify("elder", 81, 1)
+
+
+def test_verify_builds_the_routes_of_a_one_instance_sweep(monkeypatch):
+    builds = []
+    for name, build in identities._ROUTES.items():
+        monkeypatch.setitem(identities._ROUTES, name,
+                            lambda top, modulus, build=build: builds.append((top, modulus))
+                            or build(top, modulus))
+    assert verify("qk_congruence", 5, 25, 3).passed  # Q_5(99) = 0 (mod 25)
+    assert builds == [(99, 25)]
+    builds.clear()
+    assert verify("lemma2", 4, 1).passed
+    assert builds == [(5, None)]
+    # A congruence reads the residue table: the bigint one stays at P(0).
+    monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
+    assert verify("ramanujan_p", 5, 4000).passed
+    assert len(counting._TABLE) == 1
+
+
+@pytest.mark.parametrize("identity, args", [
+    ("lemma2", (0, 1)),
+    ("lemma2", (3, 0)),
+    ("stanley", (0,)),
+    ("difference_identity", (-1,)),
+    ("ramanujan_p", (13, 0)),
+    ("ramanujan_p", (5, -1)),
+    ("qk_congruence", (3, 5, 0)),
+    ("qk_congruence", (5, 5, -2)),
+])
+def test_verify_raises_what_a_one_instance_sweep_raises(identity, args):
+    with pytest.raises(ValueError) as one:
+        verify(identity, *args)
+    params = dict(zip(SPECS[identity].params, args))
+    lead = {"family": params.get("family"), "modulus": params.get("mod")}
+    k = params.get("k")
+    with pytest.raises(ValueError) as swept:
+        sweep(identity, (params["n"],) * 2, None if k is None else (k, k), **lead)
+    assert str(one.value) == str(swept.value)
 
 
 def test_report_as_dict():
@@ -503,8 +548,8 @@ def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, l
                                                         k_range, backend, description, off):
     if off is not None:
         monkeypatch.setattr(partitions, "oracle_stats", _off_by_one_at(off))
-    # A congruence sweep grows a fresh residue table; verify reduces the bigint
-    # table, so the two agree only if every residue the sweep reads is right.
+    # A congruence sweep grows a fresh residue table, which verify then reads
+    # too; the end of this test checks that table against the bigint one.
     monkeypatch.setattr(counting, "_MOD_TABLES", {})
     made = []
     real_report = identities.IdentityReport
@@ -515,6 +560,10 @@ def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, l
     assert len(made) == len(result.failures)  # a report for each failure, none for a pass
     assert result.ok == (off is None and modulus != 25)  # P(37) off, or the refuted pattern
     assert result == _sweep_by_verifier(identity, lead, n_range, k_range, backend, description)
+    if identity == "ramanujan_p":  # every residue read, across the table's block edges
+        top = SPECS[identity].span(*lead, n_range[1])
+        assert counting.mod_table(family)._values[:top + 1] == [
+            counting.partition_count(m) % family for m in range(top + 1)]
     if identity == "lemma2":  # P(37) off on the oracle: lhs at n = 37, rhs where n + k = 37
         assert [(f.params["n"], f.params["k"], f.backend) for f in result.failures] == [
             (34, 3, ORACLE), (35, 2, ORACLE), (36, 1, ORACLE),
