@@ -210,14 +210,14 @@ def _cmd_verify(args) -> int:
     n_range = _parse_range(args.n, "--n")
     k_range = _parse_range(args.k, "--k") if args.k else None
 
-    result = identities.sweep(
-        args.identity.replace("-", "_"),
-        n_range,
-        k_range=k_range,
-        backend=identities.CLOSED_FORM if args.backend == "closed" else args.backend,
-        family=args.family,
-        modulus=args.mod,
-    )
+    backend = identities.CLOSED_FORM if args.backend == "closed" else args.backend
+    try:
+        result = identities.sweep(args.identity.replace("-", "_"), n_range, k_range, backend,
+                                  family=args.family, modulus=args.mod)
+    except ValueError as exc:  # the oracle-reach error: name the flag that takes the closed form
+        if str(exc).endswith("; use the closed form"):
+            raise ValueError(f"{exc} (--backend closed)") from None
+        raise
 
     if args.json:
         _emit_json(result.as_dict())

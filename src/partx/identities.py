@@ -254,7 +254,7 @@ def _run(identity: str, spec: Spec, backend: str, builders: list[tuple[str, Call
     top = span(*(values[-1] for values in ranges))
     reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
     if backend == ORACLE and top > reach:
-        hint = "; use the closed form (--backend closed)" if spec.backend == CLOSED_FORM else ""
+        hint = "; use the closed form" if spec.backend == CLOSED_FORM else ""
         raise ValueError(f"{identity} needs the oracle up to n={top}, beyond its limit of {reach}"
                          + hint)
     named = dict(zip(spec.params, ranges))

@@ -176,7 +176,7 @@ def test_verify_both_runs_each_route(monkeypatch):
     assert verify("lemma2", 80, 1, backend=BOTH) == ("lemma2", {"n": 80, "k": 1}, 15796476,
                                                      15796476, True, CLOSED_FORM)
     with pytest.raises(ValueError, match="^lemma2 needs the oracle up to n=81, beyond its "
-                                         "limit of 80; use the closed form"):
+                                         "limit of 80; use the closed form$"):
         verify("lemma2", 80, 1, backend=ORACLE)
     with pytest.raises(ValueError, match="^elder needs the oracle up to n=81, beyond its "
                                          "limit of 80$"):
@@ -200,25 +200,21 @@ def test_verify_builds_the_routes_of_a_one_instance_sweep(monkeypatch):
     assert len(counting._TABLE) == 1
 
 
-@pytest.mark.parametrize("identity, args", [
-    ("lemma2", (0, 1)),
-    ("lemma2", (3, 0)),
-    ("stanley", (0,)),
-    ("difference_identity", (-1,)),
-    ("ramanujan_p", (13, 0)),
-    ("ramanujan_p", (5, -1)),
-    ("qk_congruence", (3, 5, 0)),
-    ("qk_congruence", (5, 5, -2)),
+@pytest.mark.parametrize("identity, args, message", [
+    ("lemma2", (0, 1), "n must be a positive integer, got n=0"),
+    ("ramanujan_p", (13, 0), "family must be one of [5, 7, 11], got 13"),
+    ("qk_congruence", (3, 5, 0), "unsupported congruence (k=3, mod=5); supported: (k=5, mod=5), "
+                                 "(k=5, mod=25), (k=5, mod=125), (k=7, mod=7), (k=11, mod=11)"),
 ])
-def test_verify_raises_what_a_one_instance_sweep_raises(identity, args):
-    with pytest.raises(ValueError) as one:
-        verify(identity, *args)
+def test_verify_raises_what_a_one_instance_sweep_raises(identity, args, message):
     params = dict(zip(SPECS[identity].params, args))
-    lead = {"family": params.get("family"), "modulus": params.get("mod")}
     k = params.get("k")
-    with pytest.raises(ValueError) as swept:
-        sweep(identity, (params["n"],) * 2, None if k is None else (k, k), **lead)
-    assert str(one.value) == str(swept.value)
+    for call in (lambda: verify(identity, *args),
+                 lambda: sweep(identity, (params["n"],) * 2, None if k is None else (k, k),
+                               family=params.get("family"), modulus=params.get("mod"))):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_report_as_dict():
@@ -549,7 +545,7 @@ def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, l
     if off is not None:
         monkeypatch.setattr(partitions, "oracle_stats", _off_by_one_at(off))
     # A congruence sweep grows a fresh residue table, which verify then reads
-    # too; the end of this test checks that table against the bigint one.
+    # too; the end of this test checks its residues against the bigint table.
     monkeypatch.setattr(counting, "_MOD_TABLES", {})
     made = []
     real_report = identities.IdentityReport
@@ -560,10 +556,19 @@ def test_sweep_equals_the_public_verifiers_per_instance(monkeypatch, identity, l
     assert len(made) == len(result.failures)  # a report for each failure, none for a pass
     assert result.ok == (off is None and modulus != 25)  # P(37) off, or the refuted pattern
     assert result == _sweep_by_verifier(identity, lead, n_range, k_range, backend, description)
-    if identity == "ramanujan_p":  # every residue read, across the table's block edges
-        top = SPECS[identity].span(*lead, n_range[1])
-        assert counting.mod_table(family)._values[:top + 1] == [
-            counting.partition_count(m) % family for m in range(top + 1)]
+    if family is not None and CLOSED_FORM in result.checked:
+        # Each residue the closed route read, against the exact count on the
+        # bigint table: the closed failures are exactly the nonzero residues.
+        mod = lead[-1]
+        count = (counting.partition_count if identity == "ramanujan_p"
+                 else lambda m: counting.occurrence_count(family, m))
+        exact = {n: count(identities._argument(mod, n)) % mod
+                 for n in range(n_range[0], n_range[1] + 1)}
+        assert {f.params["n"]: f.lhs for f in result.failures if f.backend == CLOSED_FORM} == {
+            n: residue for n, residue in exact.items() if residue}
+        top = SPECS[identity].span(*lead, n_range[1])  # every entry, across the block edges
+        assert counting.mod_table(mod)._values[:top + 1] == [
+            counting.partition_count(m) % mod for m in range(top + 1)]
     if identity == "lemma2":  # P(37) off on the oracle: lhs at n = 37, rhs where n + k = 37
         assert [(f.params["n"], f.params["k"], f.backend) for f in result.failures] == [
             (34, 3, ORACLE), (35, 2, ORACLE), (36, 1, ORACLE),
