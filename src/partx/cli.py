@@ -67,6 +67,8 @@ def _check_cache_dir(path: str) -> None:
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ValueError(f"cache {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"cache {path}: is a directory")
 
 
 def _load_cache(args) -> tuple[CountTable | None, int]:

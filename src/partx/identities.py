@@ -102,7 +102,9 @@ def _closed(top: int, modulus: int | None) -> Route:
 
 
 def _oracle(top: int, modulus: int | None) -> Route:
-    """The oracle's exact counts, right in every ring; its tables grow as they are read."""
+    """The oracle's exact counts, right in every ring, from tables built once to ``top``."""
+    partitions._grow_tables(min(top, partitions.DEFAULT_ENUMERATION_LIMIT))
+
     def p(n: int) -> int:
         return partitions.oracle_stats(n).partition_count
 

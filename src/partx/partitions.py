@@ -19,8 +19,8 @@ makes the oracle an independent route for the closed forms in
 :mod:`partx.counting` and the series in :mod:`partx.series`; this module
 imports neither.
 
-The coin-change tables grow geometrically up to the cap below and are the
-oracle's only state: each statistic is read off them when asked for.
+The coin-change tables, built to the largest n asked for, are the oracle's
+only state: each statistic is read off them when asked for.
 Listings and the oracle are capped at n <= :data:`DEFAULT_ENUMERATION_LIMIT`
 (80); the closed forms have no such cap.
 """
@@ -103,22 +103,17 @@ _p = [1]
 _avoid: list[list[int]] = [[]]
 _s = [0]
 
-# Smallest table the oracle builds, so that a sweep over small n builds once.
-_MIN_ORACLE_SIZE = 32
 
+def _grow_tables(size: int) -> None:
+    """Rebuild _p, _avoid and _s to exactly ``size``, unless they already cover it.
 
-def _grow_tables(n: int) -> None:
-    """Rebuild _p, _avoid and _s to cover n, unless they already do.
-
-    Geometric growth capped at the limit: a sweep over increasing n rebuilds
-    the tables a logarithmic number of times, not once per n.  A_v(m) does
-    not depend on the size, so what was read off a smaller table stays right.
+    A sweep builds them once, to its largest n; a read past them rebuilds to
+    its own n.  A_v(m) does not depend on the size, so what was read off a
+    smaller table stays right.
     """
-    _check_enumerable(n)
-    size = len(_p) - 1
-    if n <= size:
+    _check_enumerable(size)
+    if size < len(_p):
         return
-    size = min(DEFAULT_ENUMERATION_LIMIT, max(n, 2 * size, _MIN_ORACLE_SIZE))
     ways = [1] + [0] * size
     avoid: list[list[int]] = [[]]
     for v in range(1, size + 1):
@@ -146,8 +141,8 @@ def oracle_stats(n: int) -> PartitionStats:
     * S(n)   = sum over k of R_k(n)
 
     n = 0 gives P(0) = 1 (the empty partition), S(0) = 0 and Q_k(0) = R_k(0) = 0.
-    Each call returns a new view on the tables, which grow geometrically
-    up to the limit; nothing is kept per n.
+    Each call returns a new view on the tables, rebuilt to n if they are
+    shorter; nothing is kept per n.
     """
     if not 0 <= n < len(_p):
         _grow_tables(n)

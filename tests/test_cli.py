@@ -495,6 +495,24 @@ def test_cache_in_a_missing_directory_fails_before_any_output(capsys, tmp_path, 
 
 
 @pytest.mark.parametrize("argv", [
+    ["count", "5"], ["stats", "5"], ["table", "5", "--kmax", "2"], ["cache", "build", "--max", "5"],
+    ["cache", "check"],
+])
+def test_cache_path_that_is_a_directory_fails_before_any_output(capsys, tmp_path, argv):
+    folder = tmp_path / "dd"
+    folder.mkdir()
+    (folder / "kept.txt").write_text("kept\n")
+    before = folder.stat().st_mtime_ns
+    for path in (str(folder), str(folder) + os.sep):
+        code, out, err = run_cli(capsys, *argv, "--cache", path)
+        assert (code, out) == (2, "")
+        assert err == f"partx: error: cache {path}: is a directory\n"
+    assert [p.name for p in folder.iterdir()] == ["kept.txt"]
+    assert (folder / "kept.txt").read_text() == "kept\n"
+    assert folder.stat().st_mtime_ns == before
+
+
+@pytest.mark.parametrize("argv", [
     [*command, *flag]
     for command in (["count", "5"], ["stats", "5"], ["table", "5", "--kmax", "2"])
     for flag in ([], ["--verify-cache"])

@@ -455,6 +455,27 @@ def test_sweep_both_stops_the_oracle_at_its_cap(monkeypatch):
     assert max(seen) == partitions.DEFAULT_ENUMERATION_LIMIT == 80
 
 
+def test_sweep_builds_the_oracle_once_to_its_top(monkeypatch):
+    builds = []
+    real_grow = partitions._grow_tables
+
+    def grow(size):
+        before = len(partitions._p)
+        real_grow(size)
+        if len(partitions._p) != before:
+            builds.append(len(partitions._p) - 1)
+
+    monkeypatch.setattr(partitions, "_grow_tables", grow)
+    for args, backend, sizes in ((("lemma2", (5, 36), (1, 6)), BOTH, [42]),
+                                 (("elder", (11, 42), (1, 6)), None, [42]),
+                                 (("stanley", (70, 90)), BOTH, [80])):  # the oracle's cap
+        for name, empty in (("_p", [1]), ("_avoid", [[]]), ("_s", [0])):
+            monkeypatch.setattr(partitions, name, empty)
+        builds.clear()
+        assert sweep(*args, backend=backend).ok
+        assert builds == sizes, args
+
+
 def test_sweep_result_reports_its_backend():
     assert sweep("elder", (1, 4), (1, 2)).backend == ORACLE
     assert sweep("lemma1", (1, 4), (1, 2)).backend == CLOSED_FORM

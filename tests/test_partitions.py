@@ -198,7 +198,8 @@ def _oracle_reads(order: list[int]) -> list[str]:
 def test_oracle_reads_survive_table_growth():
     ascending = _oracle_reads(list(range(1, 81)))
     top_first = _oracle_reads([80] + list(range(1, 80)))
-    assert (ascending[0], top_first[0]) == ("32 64 80", "80")
+    # each new n builds the tables to itself; asked first, the top builds them once
+    assert (ascending[0], top_first[0]) == (" ".join(map(str, range(1, 81))), "80")
     assert len(ascending) == 81
     assert ascending[1:] == top_first[1:]
 
