@@ -5,7 +5,7 @@ human-readable text by default; --json and --csv switch to machine
 formats with the same numbers.  ``main`` is the one entry point and maps
 every outcome to an exit code: 0 success, 1 when a verification or
 consistency check failed (a cache that --verify-cache finds wrong
-included), 2 on usage or input errors.
+included), 2 on usage or input errors, 141 when stdout was closed early.
 """
 
 from __future__ import annotations
@@ -385,9 +385,14 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout fails here
+        return code
     except SystemExit as exc:  # usage errors, --help, and a cache --verify-cache refused
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:  # the reader went away: exit as a shell reports SIGPIPE, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the last flush lands here
+        return 141
     except TableFormatError as exc:
         print(f"partx: cache error: {exc}", file=sys.stderr)
         return 2

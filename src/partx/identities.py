@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from operator import eq
+from operator import eq, index
 from typing import Callable, NamedTuple
 
 from . import counting, partitions
@@ -280,7 +280,7 @@ def _run(identity: str, spec: Spec, backend: str, builders: list[tuple[str, Call
 
 
 def verify(identity: str, *args: int, backend: str | None = None) -> IdentityReport:
-    """One instance of ``identity``, at the values of its spec's ``params`` in order.
+    """One instance of ``identity``, at integer values of its spec's ``params`` in order.
 
     It runs as a one-instance :func:`sweep`: a congruence reads the residue
     table of its modulus, and past the oracle's reach ``oracle`` raises the
@@ -291,7 +291,13 @@ def verify(identity: str, *args: int, backend: str | None = None) -> IdentityRep
     if len(args) != len(spec.params):
         raise TypeError(f"{identity} takes {len(spec.params)} arguments "
                         f"({', '.join(spec.params)}), got {len(args)}")
-    reports, _ = _run(identity, spec, backend, builders, [(a,) for a in args], every=True)
+    ranges = []
+    for name, value in zip(spec.params, args):
+        try:
+            ranges.append((index(value),))
+        except TypeError:
+            raise TypeError(f"{identity}: {name} must be an integer, got {value!r}") from None
+    reports, _ = _run(identity, spec, backend, builders, ranges, every=True)
     return next((r for r in reports if not r.passed), reports[-1])
 
 
@@ -303,9 +309,13 @@ def _check_range(rng, name) -> tuple[int, int]:
         lo, hi = rng
     except (TypeError, ValueError):
         raise ValueError(f"{name} range must be an (lo, hi) pair, got {rng!r}") from None
+    try:
+        lo, hi = index(lo), index(hi)
+    except TypeError:
+        raise TypeError(f"{name} range bounds must be integers, got {rng!r}") from None
     if lo > hi:
         raise ValueError(f"{name} range is empty: {lo}..{hi}")
-    return int(lo), int(hi)
+    return lo, hi
 
 
 def sweep(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from partx import counting, identities, partitions
@@ -351,6 +353,21 @@ def test_sweep_errors():
         sweep("elder", (1, 10), (1, 5), backend=CLOSED_FORM)
     with pytest.raises(ValueError, match="elder has no closed form; use the oracle backend"):
         sweep("elder", (1, 5), (1, 3), backend=BOTH)
+
+
+def test_sweep_and_verify_refuse_arguments_that_are_not_integers(monkeypatch):
+    monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
+    for bounds in ((1.9, 5), (1, 5.5), ("1", "5")):
+        message = f"n range bounds must be integers, got {bounds!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            sweep("stanley", bounds)
+    with pytest.raises(TypeError, match=r"^k range bounds must be integers, got \(1, 2.0\)$"):
+        sweep("lemma2", (1, 5), (1, 2.0))
+    with pytest.raises(TypeError, match="^stanley: n must be an integer, got 5.5$"):
+        verify("stanley", 5.5)
+    with pytest.raises(TypeError, match="^lemma2: k must be an integer, got '1'$"):
+        verify("lemma2", 4, "1")
+    assert len(counting._TABLE) == 1  # refused before any table grew
 
 
 def test_sweep_elder_refuses_other_routes_before_counting(monkeypatch):
