@@ -384,14 +384,17 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i - 1] in ("--n", "--k") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = _build_parser().parse_args(argv)
-        code = args.handler(args)
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.handler(args)
+        except SystemExit as exc:  # usage errors, --help, and a cache --verify-cache refused
+            code = exc.code if isinstance(exc.code, int) else 2
         sys.stdout.flush()  # so that a closed stdout fails here
         return code
-    except SystemExit as exc:  # usage errors, --help, and a cache --verify-cache refused
-        return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:  # the reader went away: exit as a shell reports SIGPIPE, quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the last flush lands here
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the interpreter's last flush lands here
+        os.close(devnull)
         return 141
     except TableFormatError as exc:
         print(f"partx: cache error: {exc}", file=sys.stderr)

@@ -291,17 +291,20 @@ def verify(identity: str, *args: int, backend: str | None = None) -> IdentityRep
     if len(args) != len(spec.params):
         raise TypeError(f"{identity} takes {len(spec.params)} arguments "
                         f"({', '.join(spec.params)}), got {len(args)}")
-    ranges = []
-    for name, value in zip(spec.params, args):
-        try:
-            ranges.append((index(value),))
-        except TypeError:
-            raise TypeError(f"{identity}: {name} must be an integer, got {value!r}") from None
+    ranges = [(_integer(value, f"{identity}: {name}"),) for name, value in zip(spec.params, args)]
     reports, _ = _run(identity, spec, backend, builders, ranges, every=True)
     return next((r for r in reports if not r.passed), reports[-1])
 
 
 # sweep ----------------------------------------------------------------------
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if it is one; a float or a string is refused, not truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_range(rng, name) -> tuple[int, int]:
@@ -344,9 +347,11 @@ def sweep(
     elif family is None:
         raise ValueError(f"{identity} needs a family {spec.family_hint}")
     elif "mod" in spec.params:
-        fixed = {"family": family, "mod": family if modulus is None else modulus}
+        family = _integer(family, "family")
+        modulus = family if modulus is None else _integer(modulus, "modulus")
+        fixed = {"family": family, "mod": modulus}
     elif modulus in (None, family):
-        fixed = {"family": family}
+        fixed = {"family": _integer(family, "family")}
     else:
         raise ValueError(f"{identity} checks mod the family itself")
     ranges = {name: (value,) for name, value in fixed.items()} | {"n": range(n_lo, n_hi + 1)}

@@ -563,30 +563,41 @@ def test_verify_cache_mismatch_output_pinned(capsys, tmp_path, argv):
     assert path.read_bytes() == body
 
 
-def test_cache_check_output_of_a_large_table_pinned(capsys, monkeypatch, tmp_path):
-    table = tmp_path / "table.txt"
-    counting.save_table(counting.CountTable().extend(12_288), table)
+@pytest.fixture(scope="module")
+def split_table(tmp_path_factory):
+    """A table of 12,289 entries, large enough to be checked in 2 or 3 slices."""
+    path = tmp_path_factory.mktemp("split") / "table.txt"
+    counting.save_table(counting.CountTable().extend(12_288), path)
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
+def test_split_cache_check_output_matches_one_process(capsys, monkeypatch, tmp_path, split_table):
     bad = tmp_path / "bad.txt"
-    lines = table.read_text().split("\n")
-    for n in (5, 8000, 11000):
+    lines = split_table.read_text().split("\n")
+    for n in (5, 8000, 11000):  # one entry in each slice of three
         key, value = lines[n + 1].split(",")
         lines[n + 1] = f"{key},{int(value) + 1}"
     bad.write_text("\n".join(lines))
-    runs = [["cache", "check", "--cache", str(table)], ["cache", "check", "--cache", str(bad)],
+    runs = [["cache", "check", "--cache", str(split_table)], ["cache", "check", "--cache", str(bad)],
             ["count", "10", "--cache", str(bad), "--verify-cache"]]
     outputs = {}
-    for argv in runs:
-        monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
-        outputs[tuple(argv)] = run_cli(capsys, *argv)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: workers)
+        for argv in runs:
+            monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
+            outputs.setdefault(tuple(argv), set()).add(run_cli(capsys, *argv))
     assert outputs == {
-        tuple(runs[0]): (0, "ok: 12289 entries match the recurrence\n", ""),
-        tuple(runs[1]): (1, "".join(
+        tuple(runs[0]): {(0, "ok: 12289 entries match the recurrence\n", "")},
+        tuple(runs[1]): {(1, "".join(
             f"mismatch at n={n}: stored {counting.partition_count(n) + 1}, "
             f"recomputed {counting.partition_count(n)}\n" for n in (5, 8000, 11000))
-            + "FAIL: 3 of 12289 entries are wrong\n", ""),
-        tuple(runs[2]): (1, "", f"partx: cache {bad}: 3 of 12289 entries disagree with the "
-                                "recurrence (first at n=5)\n"),
+            + "FAIL: 3 of 12289 entries are wrong\n", "")},
+        tuple(runs[2]): {(1, "", f"partx: cache {bad}: 3 of 12289 entries disagree with the "
+                                 "recurrence (first at n=5)\n")},
     }
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_stats_rejects_kmax_before_reading_the_cache(capsys, tmp_path):
@@ -626,6 +637,16 @@ def test_negative_count_is_total(capsys):
     ["verify", "stanley", "--n", "1..30", "--json"],
 ])
 def test_closed_stdout_exits_as_sigpipe_quietly(argv, unbuffered):
+    assert _run_into_closed_stdout(argv, unbuffered) == (141, b"")
+
+
+def test_help_into_a_closed_stdout_exits_as_sigpipe_quietly():
+    # argparse writes the help and raises SystemExit(0); the flush after it still fails.
+    assert _run_into_closed_stdout(["--help"], unbuffered=False) == (141, b"")
+
+
+def _run_into_closed_stdout(argv, unbuffered):
+    """The exit code and stderr of ``python -m partx argv`` whose stdout's reader is gone."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
@@ -639,7 +660,23 @@ def test_closed_stdout_exits_as_sigpipe_quietly(argv, unbuffered):
                               stderr=subprocess.PIPE)
     finally:
         os.close(write)
-    assert (done.returncode, done.stderr) == (141, b"")
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_in_process_leaves_no_descriptor_open(monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    stdout = open(write, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    before = sorted(os.listdir("/proc/self/fd"))
+    try:
+        assert cli.main(["count", "10"]) == 141
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        stdout.write("quiet\n")
+        stdout.flush()  # now /dev/null: the reader's loss is reported once
+    finally:
+        stdout.close()
 
 
 def _loaded_after(setup: str) -> set[str]:

@@ -1,5 +1,7 @@
 import os
+import threading
 from itertools import accumulate
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -531,37 +533,111 @@ def test_consistency_check_clean():
     assert consistency_check(CountTable().extend(50)) == []
 
 
-CHECK_N = 12_288
+# A table of 12,289 entries, 0..N with N // 4096 = 3, is split across 2 or 3
+# workers.  Each split check forks; no child may outlive it.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
+SPLIT_N = 12_288
 
 
 @pytest.fixture(scope="module")
-def check_values():
-    return CountTable().extend(CHECK_N).values
+def split_values():
+    return CountTable().extend(SPLIT_N).values
 
 
-@pytest.mark.parametrize("module_table", ["fresh", "longer"])
-def test_consistency_check_reports_each_tampered_entry(monkeypatch, check_values, module_table):
-    # The module table before each check: nothing computed, or past the stored table.
-    longer = _table_of(check_values).extend(CHECK_N + 100)
-    for n in (5, 9000, CHECK_N):
-        monkeypatch.setattr(counting, "_TABLE", CountTable() if module_table == "fresh" else longer)
-        values = list(check_values)
-        values[n] += 1
-        assert consistency_check(_table_of(values)) == [n]
-        assert len(counting._TABLE) >= len(values)
-        assert consistency_check(_table_of(check_values)) == []
+@pytest.fixture
+def workers(request, monkeypatch):
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(counting, "_TABLE", CountTable())  # nothing computed yet
+    yield request.param
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_consistency_check_never_forks(monkeypatch, check_values):
-    def forbidden():
-        raise AssertionError("the check forked")  # no OSError: nothing may fall back on it
+def _cuts(workers):
+    size = SPLIT_N + 1
+    return [isqrt(size * size * i // workers) for i in range(workers + 1)]
 
-    monkeypatch.setattr(os, "fork", forbidden, raising=False)
-    monkeypatch.setattr(counting, "_TABLE", CountTable())
-    values = list(check_values)
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+def test_split_check_of_a_clean_table_stops_the_parent_at_the_first_cut(split_values, workers):
+    assert consistency_check(_table_of(split_values)) == []
+    assert len(counting._TABLE) == _cuts(workers)[1] < len(split_values)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+def test_split_check_reports_a_tampered_entry_in_each_slice(monkeypatch, split_values, workers):
+    cuts = _cuts(workers)
+    for lo, hi in zip(cuts, cuts[1:]):
+        for n in (lo or 5, hi - 1):  # each end of the slice
+            # The module table as the parent's own slice leaves it, so the check splits again.
+            monkeypatch.setattr(counting, "_TABLE", _table_of(split_values[:cuts[1]]))
+            values = list(split_values)
+            values[n] += 1
+            assert consistency_check(_table_of(values)) == [n]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_split_check_compares_the_parents_own_slice(monkeypatch, split_values, workers):
+    monkeypatch.setattr(counting, "_continues", lambda *args: True)  # every child passes
+    values = list(split_values)
+    values[5] += 1
+    assert consistency_check(_table_of(values)) == [5]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_split_check_survives_a_child_that_raises(capfd, monkeypatch, split_values, workers):
+    def broken(*args):
+        raise RuntimeError("no verdict")
+
+    monkeypatch.setattr(counting, "_continues", broken)
+    values = list(split_values)
+    assert consistency_check(_table_of(values)) == []
+    monkeypatch.setattr(counting, "_TABLE", CountTable())  # so the check splits again
+    values[SPLIT_N] += 1
+    assert consistency_check(_table_of(values)) == [SPLIT_N]
+    assert capfd.readouterr() == ("", "")  # the child's exception stays in the child
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_split_check_falls_back_when_fork_fails(monkeypatch, split_values, workers):
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused, raising=False)
+    values = list(split_values)
     values[9000] += 1
-    assert consistency_check(_table_of(check_values)) == []
-    monkeypatch.setattr(counting, "_TABLE", CountTable())
     assert consistency_check(_table_of(values)) == [9000]
     assert len(counting._TABLE) == len(values)
 
+
+@pytest.mark.parametrize("workers", [1, 4], indirect=True)
+def test_check_runs_in_one_process_below_two_workers_or_beside_a_thread(split_values, workers):
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    if workers > 1:
+        helper.start()  # a second thread: the process must not fork
+    try:
+        assert consistency_check(_table_of(split_values)) == []
+    finally:
+        release.set()
+        if workers > 1:
+            helper.join(timeout=10)
+    assert not helper.is_alive()
+    assert len(counting._TABLE) == len(split_values)
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_check_of_a_table_already_recomputed_forks_no_child(monkeypatch, split_values, workers):
+    def forbidden():
+        raise AssertionError("forked although the module table holds every entry")
+
+    partition_count(SPLIT_N)
+    monkeypatch.setattr(os, "fork", forbidden, raising=False)
+    values = list(split_values)
+    values[9000] += 1
+    assert consistency_check(_table_of(split_values)) == []
+    assert consistency_check(_table_of(values)) == [9000]

@@ -367,6 +367,12 @@ def test_sweep_and_verify_refuse_arguments_that_are_not_integers(monkeypatch):
         verify("stanley", 5.5)
     with pytest.raises(TypeError, match="^lemma2: k must be an integer, got '1'$"):
         verify("lemma2", 4, "1")
+    with pytest.raises(TypeError, match="^family must be an integer, got 5.0$"):
+        sweep("ramanujan_p", (0, 5), family=5.0)
+    with pytest.raises(TypeError, match="^family must be an integer, got '5'$"):
+        sweep("qk_congruence", (0, 5), family="5")
+    with pytest.raises(TypeError, match="^modulus must be an integer, got 25.0$"):
+        sweep("qk_congruence", (0, 5), family=5, modulus=25.0)
     assert len(counting._TABLE) == 1  # refused before any table grew
 
 
