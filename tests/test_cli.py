@@ -742,8 +742,10 @@ README_COMMANDS = [
 
 
 # Output shapes the README commands do not reach: CSV counts and stats, a
-# stats run without its listing, a table with more columns than n, and a
-# text table whose cells are wider than its headings.
+# stats run without its listing, a table with more columns than n, a text
+# table whose cells are wider than its headings, and congruence sweeps: the
+# refuted Q_5 mod 25 pattern on each route and format, and a passing
+# Ramanujan family on both routes.
 OUTPUT_SHAPES = [
     ("count 10 --csv", 0, "cc66c0ff7a1046510cbe1b39788efb3ef543c338201aee421ab20f394490bee2"),
     ("stats 7 --csv", 0, "658324fdb78ad2b4d54d1fe5da491485092da23b5d7f54caf8e3c43a3c1cacab"),
@@ -752,6 +754,14 @@ OUTPUT_SHAPES = [
     ("table 3 --kmax 5 --csv", 0,
      "8974f13beca09c1a38eee88a3a755114b184d1b1d5456b4567a1d1a901e0d9a6"),
     ("table 9 --kmax 6", 0, "b754621bec33d34da54a87ce3d501e817d3a53ab4b6481dcccadb4bfd4c93e3c"),
+    ("verify qk-congruence --family 5 --mod 25 --n 0..40 --json", 1,
+     "3ee22797122d11a049bb2eeb96f55db39f1ec04df956ec2027c34f147f3083df"),
+    ("verify qk-congruence --family 5 --mod 25 --n 0..40 --json --backend both", 1,
+     "0892ecb77d34c9daeb100cb3aa7b0cf90e27101a7a8db35befdd547a33d11ec1"),
+    ("verify qk-congruence --family 5 --mod 25 --n 0..2 --backend oracle --csv", 1,
+     "da6aa5a1e5afd68d171e19eae718d1722207aba524b060cad2b5971ced70f70b"),
+    ("verify ramanujan-p --family 7 --n 0..12 --backend both", 0,
+     "d7008084ad609a3906fcd8b4e3c2dc7b32c2bd642c0fbc34c23a7af983c86500"),
 ]
 
 
