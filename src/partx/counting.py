@@ -326,8 +326,12 @@ def consistency_check(table: CountTable) -> list[int]:
     own table may stop at the first slice.  Otherwise, and after any failed
     slice, the entries are recomputed into the module's own table (only
     ever grown by the recurrence), so :func:`partition_count` serves the
-    recomputed values of the entries reported without a second run.
+    recomputed values of the entries reported without a second run.  A
+    :class:`ModCountTable` is refused: its entries are residues, and the
+    check compares them with the integer recurrence.
     """
+    if isinstance(table, ModCountTable):
+        raise TypeError("consistency_check takes a CountTable of integers, not a ModCountTable")
     stored = table._values
     if _slices_pass(stored):
         return []

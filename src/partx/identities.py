@@ -25,16 +25,16 @@ does) reaches every statistic.
 
 ``both`` runs the closed form, then the oracle wherever the instance is
 within its reach.  An identity whose default backend is the oracle (elder)
-refuses every other route.  A congruence (``ramanujan_p``,
-``qk_congruence``) runs over the ring of its modulus; its reports carry the
-residue as both lhs and rhs and pass exactly when it is 0.
+refuses every other route.  A congruence (``ramanujan_p``, ``qk_congruence``)
+runs over the ring its spec names; its reports carry its count's residue as
+both lhs and rhs, and pass exactly when it is 0.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
-from operator import eq, index
+from operator import index
 from typing import Callable, NamedTuple
 
 from . import counting, partitions
@@ -154,40 +154,30 @@ def _qk_argument(k: int, modulus: int, n: int) -> int:
     return _argument(modulus, _nonnegative(n))
 
 
-def _residue(value: int) -> tuple[int, int]:
-    """A congruence's two sides: its report carries the residue as both lhs and rhs."""
-    return value, value
-
-
-def _vanishes(lhs: int, rhs: int) -> bool:
-    """Whether a congruence holds: its residue is 0."""
-    return lhs == 0
-
-
 class Spec(NamedTuple):
     """One identity: its two sides over a route, and how it is run.
 
     ``sides(route, *args)`` computes the identity's lhs and rhs on a
     :class:`Route` from the arguments named by ``params``, in order: ``n``
     and ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole
-    sweep.  A congruence's sides reduce the route's count mod m, so they
-    hold on a route over Z or mod m alike.  The instance passes when
-    ``holds(lhs, rhs)``.  ``span`` checks the arguments, raising the errors
-    that :func:`verify` and :func:`sweep` report, and returns the largest n
-    they read: every route is built up to it, and the oracle must cover
-    it.  ``labels`` gives a report's params (by default ``params`` with
-    their values).  ``backend`` is the route taken when none is named: the
-    closed form, or the oracle for an identity without one, which refuses
-    every other route.
+    sweep.  An equality (``ring`` None) passes when lhs == rhs.  A
+    congruence's ``ring`` gives its modulus m from the same arguments, and
+    its ``sides`` one count, which passes when it is 0 mod m.  ``span``
+    checks the arguments, raising the errors that :func:`verify` and
+    :func:`sweep` report, and returns the largest n they read: every route
+    is built up to it, and the oracle must cover it.  ``labels`` gives a
+    report's params (by default ``params`` with their values).  ``backend``
+    is the route taken when none is named: the closed form, or the oracle
+    for an identity without one, which refuses every other route.
     """
 
-    sides: Callable[..., tuple[int, int]]
+    sides: Callable[..., tuple[int, int] | int]
     params: tuple[str, ...]
     span: Callable[..., int]
     family_hint: str = ""
     backend: str = CLOSED_FORM
     labels: Callable[..., dict[str, int]] | None = None
-    holds: Callable[[int, int], bool] = eq
+    ring: Callable[..., int] | None = None
 
 
 SPECS = {
@@ -207,17 +197,17 @@ SPECS = {
     "elder": Spec(lambda at, n, k: (partitions.elder_count(n, k), at.q(k, n)),
                   ("n", "k"), _positive, backend=ORACLE),
     "ramanujan_p": Spec(
-        lambda at, family, n: _residue(at.p(_argument(family, n)) % family),
+        lambda at, family, n: at.p(_argument(family, n)),
         ("family", "n"), _ramanujan_argument, "(5, 7 or 11)",
         labels=lambda family, n: {"family": family, "n": n,
                                   "argument": _argument(family, n), "modulus": family},
-        holds=_vanishes),
+        ring=lambda family, n: family),
     "qk_congruence": Spec(
-        lambda at, k, modulus, n: _residue(at.q(k, _argument(modulus, n)) % modulus),
+        lambda at, k, modulus, n: at.q(k, _argument(modulus, n)),
         ("family", "mod", "n"), _qk_argument, "(the part k)",
         labels=lambda k, modulus, n: {"k": k, "modulus": modulus, "n": n,
                                       "argument": _argument(modulus, n)},
-        holds=_vanishes),
+        ring=lambda k, modulus, n: modulus),
 }
 
 
@@ -249,21 +239,20 @@ def _run(identity: str, spec: Spec, backend: str, builders: list[tuple[str, Call
     read and over the congruence's ring; the oracle skips an instance past
     its reach, and refuses the run when it is the only route.
     """
-    span = spec.span
+    span, first = spec.span, [values[0] for values in ranges]
     # Every check is a lower bound, so the lowest corner raises the error its
     # first failing instance would, before any table grows.
-    span(*(values[0] for values in ranges))
+    span(*first)
     top = span(*(values[-1] for values in ranges))
     reach = partitions.DEFAULT_ENUMERATION_LIMIT  # the largest n the oracle counts
     if backend == ORACLE and top > reach:
         hint = "; use the closed form" if spec.backend == CLOSED_FORM else ""
         raise ValueError(f"{identity} needs the oracle up to n={top}, beyond its limit of {reach}"
                          + hint)
-    named = dict(zip(spec.params, ranges))
-    modulus = named.get("mod", named.get("family", (None,)))[0]  # None over Z
+    modulus = spec.ring and spec.ring(*first)  # None over Z
     legs = [(route, build(top, modulus)) for route, build in builders]
 
-    sides, holds, labels = spec.sides, spec.holds, spec.labels
+    sides, labels = spec.sides, spec.labels
     reports: list[IdentityReport] = []
     beyond = 0  # instances past the oracle's reach, which only both meets
     for args in product(*ranges):
@@ -271,10 +260,15 @@ def _run(identity: str, spec: Spec, backend: str, builders: list[tuple[str, Call
             if route == ORACLE and span(*args) > reach:
                 beyond += 1
                 continue
-            lhs, rhs = sides(at, *args)
-            if every or not holds(lhs, rhs):
+            if modulus is None:
+                lhs, rhs = sides(at, *args)
+                passed = lhs == rhs
+            else:  # a congruence reports its count's residue as both sides
+                lhs = rhs = sides(at, *args) % modulus
+                passed = lhs == 0
+            if every or not passed:
                 params = labels(*args) if labels else dict(zip(spec.params, args))
-                reports.append(IdentityReport(identity, params, lhs, rhs, holds(lhs, rhs), route))
+                reports.append(IdentityReport(identity, params, lhs, rhs, passed, route))
     total = prod(map(len, ranges))
     return reports, {route: total - beyond if route == ORACLE else total for route, _ in legs}
 
@@ -341,19 +335,17 @@ def sweep(
     k_bounds = None if k_range is None else _check_range(k_range, "k")
 
     fixed = {}  # the leading arguments, family and mod, the same for every instance
-    if "family" not in spec.params:
-        if family is not None or modulus is not None:
-            raise ValueError(f"{identity} does not take a family or modulus")
-    elif family is None:
-        raise ValueError(f"{identity} needs a family {spec.family_hint}")
-    elif "mod" in spec.params:
-        family = _integer(family, "family")
+    if "family" in spec.params:
+        if family is None:
+            raise ValueError(f"{identity} needs a family {spec.family_hint}")
+        fixed["family"] = family = _integer(family, "family")
         modulus = family if modulus is None else _integer(modulus, "modulus")
-        fixed = {"family": family, "mod": modulus}
-    elif modulus in (None, family):
-        fixed = {"family": _integer(family, "family")}
-    else:
-        raise ValueError(f"{identity} checks mod the family itself")
+        if "mod" in spec.params:
+            fixed["mod"] = modulus
+        elif modulus != family:
+            raise ValueError(f"{identity} checks mod the family itself")
+    elif family is not None or modulus is not None:
+        raise ValueError(f"{identity} does not take a family or modulus")
     ranges = {name: (value,) for name, value in fixed.items()} | {"n": range(n_lo, n_hi + 1)}
     if "k" in spec.params:
         if k_bounds is None:

@@ -533,6 +533,15 @@ def test_consistency_check_clean():
     assert consistency_check(CountTable().extend(50)) == []
 
 
+def test_consistency_check_refuses_a_residue_table(monkeypatch):
+    # Its residues would be compared with the integer recurrence and read as wrong.
+    monkeypatch.setattr(counting, "_TABLE", CountTable())
+    with pytest.raises(TypeError, match="^consistency_check takes a CountTable of integers, "
+                                        "not a ModCountTable$"):
+        consistency_check(ModCountTable(5).extend(20))
+    assert len(counting._TABLE) == 1  # refused before any work
+
+
 # A table of 12,289 entries, 0..N with N // 4096 = 3, is split across 2 or 3
 # workers.  Each split check forks; no child may outlive it.
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")

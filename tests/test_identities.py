@@ -376,6 +376,33 @@ def test_sweep_and_verify_refuse_arguments_that_are_not_integers(monkeypatch):
     assert len(counting._TABLE) == 1  # refused before any table grew
 
 
+@pytest.mark.parametrize("modulus, error, message", [
+    (5.0, TypeError, "modulus must be an integer, got 5.0"),
+    ("5", TypeError, "modulus must be an integer, got '5'"),
+    (7, ValueError, "ramanujan_p checks mod the family itself"),
+])
+def test_sweep_checks_a_modulus_given_to_ramanujan_p(monkeypatch, modulus, error, message):
+    # 5.0 == 5, so a modulus compared with the family before this check passed silently.
+    monkeypatch.setattr(counting, "_MOD_TABLES", {})
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        sweep("ramanujan_p", (0, 3), family=5, modulus=modulus)
+    assert counting._MOD_TABLES == {}  # refused before any table
+    assert sweep("ramanujan_p", (0, 3), family=5, modulus=5).ok
+
+
+def test_a_congruence_runs_over_the_ring_its_spec_names(monkeypatch):
+    # Its leading parameter is named family but is not its modulus: P(n) mod 2, at family=3.
+    parity = identities.Spec(lambda at, family, n: at.p(n), ("family", "n"),
+                             lambda family, n: n, ring=lambda family, n: 2)
+    monkeypatch.setitem(identities.SPECS, "parity", parity)
+    odd = [n for n in range(1, 21) if counting.partition_count(n) % 2]
+    for backend in (CLOSED_FORM, ORACLE):
+        result = sweep("parity", (1, 20), family=3, backend=backend)
+        assert result.range_description == "family=3, n=1..20"
+        assert [(f.params, f.lhs, f.rhs, f.passed) for f in result.failures] == [
+            ({"family": 3, "n": n}, 1, 1, False) for n in odd]
+
+
 def test_sweep_elder_refuses_other_routes_before_counting(monkeypatch):
     def no_elder(*args):
         raise AssertionError("elder_count ran before the refusal")
