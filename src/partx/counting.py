@@ -53,13 +53,12 @@ by the same statistic functions: ``partition_count_mod`` and
 one shared table per modulus (:func:`mod_table`), whose running sums add
 residues.
 
-:func:`consistency_check` checks a stored table against the recurrence.
-On a multi-core host a table of more than 8,192 entries is cut into up to
-four slices: the first is recomputed in this process, and
-each later slice in a forked child, by running the same kernel on from the
-stored entries before it.  If every slice passes, every entry is right, by
-induction on the slices; if one fails, this process recomputes the whole
-table, so the entries reported are the same as without the split.
+:func:`consistency_check` checks a stored table T of P(0..N) by the
+recurrence's residuals r(m) = sum_g s_g T(m - g) - T(m), which are all 0
+exactly when T = P, given T(0) = 1.  Four consecutive entries are packed
+into one integer of W-bit slots, wide enough that no residual carries into
+the next slot, so one sum of packed integers per offset checks four
+residuals; a table the packed check does not pass is recomputed.
 """
 
 from __future__ import annotations
@@ -98,18 +97,31 @@ def _getter(offsets: list[int]):
     return lambda values: tuple(values[g] for g in offsets)  # itemgetter of one index is a scalar
 
 
-def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None:
-    """Append P(m), reduced mod ``modulus`` if given, for m = len(values)..new_max."""
+def _grow_offsets(new_max: int) -> None:
+    """Grow _PLUS and _MINUS to hold every generalized pentagonal number up to ``new_max``."""
     plus, minus = _PLUS, _MINUS
     j = (len(plus) + len(minus)) // 2
     while (j * (3 * j + 1)) >> 1 <= new_max:
         j += 1
         g = (j * (3 * j - 1)) >> 1
         (plus if j & 1 else minus).extend((-g, -g - j))
+
+
+def _in_use(m: int):
+    """The numbers of plus and minus offsets up to ``m``, and the next offset past it."""
+    np = bisect_right(_PLUS, m, key=neg)
+    nm = bisect_right(_MINUS, m, key=neg)
+    j, second = divmod(np + nm, 2)
+    return np, nm, ((j + 1) * (3 * j + 2 + 2 * second)) >> 1
+
+
+def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None:
+    """Append P(m), reduced mod ``modulus`` if given, for m = len(values)..new_max."""
+    _grow_offsets(new_max)
     if modulus is not None and new_max + 1 - max(len(values), _BLOCK) >= _BLOCK:
         # A slot holds an in-block product sum, at most _BLOCK * (m - 1)^2,
         # and a far sum, at most m per offset.
-        bound = max(_BLOCK * (modulus - 1) ** 2, (len(plus) + len(minus)) * modulus)
+        bound = max(_BLOCK * (modulus - 1) ** 2, (len(_PLUS) + len(_MINUS)) * modulus)
         width = next((w for w in (2, 4, 8) if bound < 1 << 8 * w), None)
         if width and sys.byteorder == "little":  # slots are read as native words
             _segments(values, _BLOCK - 1, modulus)  # P(0..B-1) mod m enters every block
@@ -119,17 +131,14 @@ def _extend(values: list[int], new_max: int, modulus: int | None = None) -> None
 
 def _segments(values: list[int], new_max: int, modulus: int | None) -> None:
     """Append entries up to ``new_max`` one at a time, a segment per itemgetter pair."""
-    plus, minus = _PLUS, _MINUS
     append = values.append
     m = len(values)
     while m <= new_max:
         # The offsets up to m stay in use until the next generalized pentagonal
         # number, so one pair of itemgetters serves the whole segment.
-        np = bisect_right(plus, m, key=neg)
-        nm = bisect_right(minus, m, key=neg)
-        j, second = divmod(np + nm, 2)
-        stop = min(((j + 1) * (3 * j + 2 + 2 * second)) >> 1, new_max + 1)
-        gp, gm = _getter(plus[:np]), _getter(minus[:nm])
+        np, nm, stop = _in_use(m)
+        stop = min(stop, new_max + 1)
+        gp, gm = _getter(_PLUS[:np]), _getter(_MINUS[:nm])
         for _ in range(m, stop):
             total = sum(gp(values)) - sum(gm(values))
             append(total if modulus is None else total % modulus)
@@ -321,19 +330,23 @@ def distinct_members(n: int, table: CountTable | None = None) -> int:
 def consistency_check(table: CountTable) -> list[int]:
     """Check the table's entries against the recurrence; return the n whose entries differ.
 
-    A table of 8,193 entries or more on a multi-core host is checked in
-    slices (:func:`_slices_pass`); when every slice passes, the module's
-    own table may stop at the first slice.  Otherwise, and after any failed
-    slice, the entries are recomputed into the module's own table (only
-    ever grown by the recurrence), so :func:`partition_count` serves the
-    recomputed values of the entries reported without a second run.  A
-    :class:`ModCountTable` is refused: its entries are residues, and the
-    check compares them with the integer recurrence.
+    A table that passes the residual check (:func:`_residuals_vanish`) is
+    right, and nothing is recomputed.  Any other table is recomputed into
+    the module's own table (only ever grown by the recurrence), so
+    :func:`partition_count` serves the recomputed values of the entries
+    reported without a second run.  A :class:`ModCountTable` is refused: its
+    entries are residues, and the check compares them with the integer
+    recurrence.  So is an entry that is not an ``int``, such as 1.0, which
+    would compare equal to P(n).
     """
     if isinstance(table, ModCountTable):
         raise TypeError("consistency_check takes a CountTable of integers, not a ModCountTable")
     stored = table._values
-    if _slices_pass(stored):
+    if not set(map(type, stored)) <= {int}:
+        n, value = next((n, v) for n, v in enumerate(stored) if type(v) is not int)
+        raise TypeError(f"consistency_check takes int entries, got {type(value).__name__} "
+                        f"{value!r} at n={n}")
+    if _residuals_vanish(stored):
         return []
     partition_count(table.max_n)
     fresh = _TABLE._values
@@ -342,84 +355,54 @@ def consistency_check(table: CountTable) -> list[int]:
     return [n for n, (a, b) in enumerate(zip(stored, fresh)) if a != b]
 
 
-_SLICE = 4096  # the fewest entries, per worker, worth a process of its own
+_GROUP = 4  # residuals checked by one sum of packed integers
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
+def _residuals_vanish(stored: list[int]) -> bool:
+    """Whether the recurrence's residual r(m) is 0 at every m, four at a time; False if unsure.
 
+    With T = ``stored`` and N its top index, the pack Z[j] holds T(j-3),
+    T(j-2), T(j-1) and T(j) in W-bit slots, T(j) lowest and T of a negative
+    index 0.  Offset by offset, sum_g s_g Z[last - g] - Z[last] then holds
+    r(last-3..last), one to a slot.  Every |r| is below (offsets + 1) times
+    the largest entry, so below 2^(W-1), and no slot carries into the next:
+    the sum is 0 exactly when all four residuals are.  As :func:`_segments`
+    reads the table, the offsets are read from the end of a prefix of the
+    packs that grows by four per group.  T(0) = 1 and r(m) = 0 for 1 <= m
+    <= N give T = P on 0..N, since the recurrence fixes each P(m) from the
+    entries before it.  The entries past the last whole group are
+    recomputed from the checked prefix.
 
-def _continues(stored: list[int], lo: int, hi: int) -> bool:
-    """Whether the recurrence run on from ``stored[:lo]`` reproduces ``stored[lo:hi]``."""
-    values = stored[:lo]
-    _extend(values, hi - 1)
-    return values[lo:] == stored[lo:hi]
-
-
-def _slices_pass(stored: list[int]) -> bool:
-    """Whether every slice of ``stored`` continues the recurrence; False if not split.
-
-    Entries 0..N are cut into w slices at floor((N+1) * sqrt(i/w)): equal
-    shares of a total cost growing as N^2.  The recurrence's cost grows more
-    slowly, so the first slice costs the most.  Of 18,001 entries on a
-    2-core Xeon, [0, 12728) took 66 ms and [12728, 18001) 46-48 ms (best of
-    5); with four cuts the first took 38 ms and the others 24-27 ms.  Cuts
-    balanced for N^1.5 were not reliably faster over the whole check
-    (64-115 ms against 73-81 ms, median of 9).
-
-    The first slice is recomputed into the module's table; each later slice
-    [lo, hi) passes when :func:`_continues` holds for it in a forked child,
-    which sends one byte down a pipe if so.  If every slice passes, every
-    entry is right, by induction on the slices.  The table is split only
-    when w = min(usable CPUs, 4, N // 4096) is at least 2, the module's table
-    is shorter than ``stored``, and the process has one thread and can fork.
-    A failed slice, a child that dies and a fork that fails all read as
-    False.
+    False, for the caller's recompute, on T(0) != 1, a negative entry, a
+    residual that is not 0, or a largest entry wider than 3.702 (isqrt(N) +
+    1) + 2 bits, an integer form of p(n) < e^(pi sqrt(2n/3)) (Apostol,
+    Introduction to Analytic Number Theory, ch. 14).  No true table reaches
+    it, and it keeps a forged huge entry from making huge packs.
     """
-    import threading
-
-    size = len(stored)
-    workers = min(_usable_cpus(), 4, (size - 1) // _SLICE)
-    if (workers < 2 or len(_TABLE) >= size  # then the caller only compares
-            or not hasattr(os, "fork") or threading.active_count() > 1):
+    top = len(stored) - 1
+    if stored[:1] != [1] or min(stored) < 0:
         return False
-    import signal
-
-    cuts = [isqrt(size * size * i // workers) for i in range(workers + 1)]
-    pids, reads = [], []
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    try:  # the child never returns, so it runs no caller's exit code
-                        if _continues(stored, lo, hi):
-                            os.write(write, b"1")
-                    finally:
-                        os._exit(0)
-            finally:
-                os.close(write)  # the parent's copy: the child's exit then ends the pipe
-            pids.append(pid)
-        partition_count(cuts[1] - 1)
-        return (_TABLE._values[:cuts[1]] == stored[:cuts[1]]
-                and all(os.read(read, 1) == b"1" for read in reads))
-    except OSError:  # fork, pipe or read failed
+    bits = max(stored).bit_length()
+    if bits > 3702 * (isqrt(top) + 1) // 1000 + 2:
         return False
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)  # a child still running is no longer needed
-                os.waitpid(pid, 0)
-            except OSError:  # already reaped, for instance with SIGCHLD ignored
-                pass
+    _grow_offsets(top)
+    np, nm, _ = _in_use(top)
+    width = bits + (np + nm + 1).bit_length() + 1
+    end = top - top % _GROUP  # where the last whole group ends
+    mask = (1 << _GROUP * width) - 1
+    packs = list(accumulate(stored[:end + 1], lambda z, v: (z << width) & mask | v))
+    prefix: list[int] = []  # packs[:last] while the group ending at last is summed
+    stop = 0
+    for last in range(_GROUP, end + 1, _GROUP):
+        prefix += packs[last - _GROUP:last]
+        if last >= stop:  # an offset comes into use
+            np, nm, stop = _in_use(last)
+            gp, gm = _getter(_PLUS[:np]), _getter(_MINUS[:nm])
+        if sum(gp(prefix)) - sum(gm(prefix)) != packs[last]:
+            return False
+    values = stored[:end + 1]
+    _segments(values, top, None)
+    return values[end + 1:] == stored[end + 1:]
 
 
 def save_table(table: CountTable, path) -> None:

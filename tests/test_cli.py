@@ -437,7 +437,7 @@ def test_cache_check_runs_the_recurrence_once(capsys, tmp_path, monkeypatch, tam
                        "FAIL: 1 of 301 entries are wrong\n")
     else:
         assert (code, out, err) == (0, "ok: 301 entries match the recurrence\n", "")
-    assert len(runs) == 1
+    assert len(runs) == tamper  # only a table that fails the residual check is recomputed
 
 
 def test_cache_check_rejects_corrupt_file(capsys, tmp_path):
@@ -564,40 +564,70 @@ def test_verify_cache_mismatch_output_pinned(capsys, tmp_path, argv):
 
 
 @pytest.fixture(scope="module")
-def split_table(tmp_path_factory):
-    """A table of 12,289 entries, large enough to be checked in 2 or 3 slices."""
-    path = tmp_path_factory.mktemp("split") / "table.txt"
+def large_table(tmp_path_factory):
+    """A table of 12,289 entries, 0 past its last group of four."""
+    path = tmp_path_factory.mktemp("large") / "table.txt"
     counting.save_table(counting.CountTable().extend(12_288), path)
     return path
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
-def test_split_cache_check_output_matches_one_process(capsys, monkeypatch, tmp_path, split_table):
+def test_large_cache_check_output(capsys, monkeypatch, tmp_path, large_table):
     bad = tmp_path / "bad.txt"
-    lines = split_table.read_text().split("\n")
-    for n in (5, 8000, 11000):  # one entry in each slice of three
+    lines = large_table.read_text().split("\n")
+    for n in (5, 8000, 11000):
         key, value = lines[n + 1].split(",")
         lines[n + 1] = f"{key},{int(value) + 1}"
     bad.write_text("\n".join(lines))
-    runs = [["cache", "check", "--cache", str(split_table)], ["cache", "check", "--cache", str(bad)],
+    runs = [["cache", "check", "--cache", str(large_table)], ["cache", "check", "--cache", str(bad)],
             ["count", "10", "--cache", str(bad), "--verify-cache"]]
     outputs = {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(counting, "_usable_cpus", lambda: workers)
-        for argv in runs:
-            monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
-            outputs.setdefault(tuple(argv), set()).add(run_cli(capsys, *argv))
+    for argv in runs:
+        monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
+        outputs[tuple(argv)] = run_cli(capsys, *argv)
     assert outputs == {
-        tuple(runs[0]): {(0, "ok: 12289 entries match the recurrence\n", "")},
-        tuple(runs[1]): {(1, "".join(
+        tuple(runs[0]): (0, "ok: 12289 entries match the recurrence\n", ""),
+        tuple(runs[1]): (1, "".join(
             f"mismatch at n={n}: stored {counting.partition_count(n) + 1}, "
             f"recomputed {counting.partition_count(n)}\n" for n in (5, 8000, 11000))
-            + "FAIL: 3 of 12289 entries are wrong\n", "")},
-        tuple(runs[2]): {(1, "", f"partx: cache {bad}: 3 of 12289 entries disagree with the "
-                                 "recurrence (first at n=5)\n")},
+            + "FAIL: 3 of 12289 entries are wrong\n", ""),
+        tuple(runs[2]): (1, "", f"partx: cache {bad}: 3 of 12289 entries disagree with the "
+                                "recurrence (first at n=5)\n"),
     }
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
+
+
+# Runs `partx` in a child and prints its peak resident set, in kB, to stderr last.
+_PEAK_RSS = ("import sys\nfrom partx import cli\ncode = cli.main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as fh:\n"
+             "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_cache_check_of_a_huge_forged_entry_stays_small(tmp_path):
+    # Without the width bound on the packed check, 4,300 digits (the int parse
+    # limit) in the last entry would make slots of some 14,300 bits.
+    path = tmp_path / "table.txt"
+    counting.save_table(counting.CountTable().extend(18_000), path)
+    forged = tmp_path / "forged.txt"
+    text = path.read_text()
+    forged.write_text(text[:text.rindex("\n18000,")] + "\n18000," + "9" * 4300 + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peaks = {}
+    for name in ("table.txt", "forged.txt"):
+        done = subprocess.run([sys.executable, "-c", _PEAK_RSS, "cache", "check", "--cache", name],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        *message, peak = done.stderr.splitlines()
+        assert message == []
+        peaks[name] = int(peak)
+        out = done.stdout.splitlines()
+        if name == "table.txt":
+            assert (done.returncode, out) == (0, ["ok: 18001 entries match the recurrence"])
+        else:
+            assert done.returncode == 1
+            assert [line.split(":")[0] for line in out] == ["mismatch at n=18000", "FAIL"]
+            assert out[-1] == "FAIL: 1 of 18001 entries are wrong"
+    assert peaks["forged.txt"] <= peaks["table.txt"] + 5 * 1024
 
 
 def test_stats_rejects_kmax_before_reading_the_cache(capsys, tmp_path):

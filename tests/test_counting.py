@@ -1,7 +1,4 @@
-import os
-import threading
 from itertools import accumulate
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -542,111 +539,60 @@ def test_consistency_check_refuses_a_residue_table(monkeypatch):
     assert len(counting._TABLE) == 1  # refused before any work
 
 
-# A table of 12,289 entries, 0..N with N // 4096 = 3, is split across 2 or 3
-# workers.  Each split check forks; no child may outlive it.
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
-SPLIT_N = 12_288
+def test_consistency_check_refuses_a_float_entry(monkeypatch):
+    # 1.0 == P(0) and 2.0 == P(2): compared as numbers, the table would pass.
+    monkeypatch.setattr(counting, "_TABLE", CountTable())
+    with pytest.raises(TypeError, match=r"^consistency_check takes int entries, got float 1\.0 at n=0$"):
+        consistency_check(CountTable([1.0, 1.0, 2.0]))
+    with pytest.raises(TypeError, match=r"got float 2\.0 at n=2$"):
+        consistency_check(CountTable([1, 1, 2.0]))
+    assert len(counting._TABLE) == 1  # refused before any work
 
 
 @pytest.fixture(scope="module")
-def split_values():
-    return CountTable().extend(SPLIT_N).values
+def checked_values():
+    return CountTable().extend(18_003).values
 
 
-@pytest.fixture
-def workers(request, monkeypatch):
-    monkeypatch.setattr(counting, "_usable_cpus", lambda: request.param)
-    monkeypatch.setattr(counting, "_TABLE", CountTable())  # nothing computed yet
-    yield request.param
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _cuts(workers):
-    size = SPLIT_N + 1
-    return [isqrt(size * size * i // workers) for i in range(workers + 1)]
-
-
-@needs_fork
-@pytest.mark.parametrize("workers", [2, 3], indirect=True)
-def test_split_check_of_a_clean_table_stops_the_parent_at_the_first_cut(split_values, workers):
-    assert consistency_check(_table_of(split_values)) == []
-    assert len(counting._TABLE) == _cuts(workers)[1] < len(split_values)
-
-
-@needs_fork
-@pytest.mark.parametrize("workers", [2, 3], indirect=True)
-def test_split_check_reports_a_tampered_entry_in_each_slice(monkeypatch, split_values, workers):
-    cuts = _cuts(workers)
-    for lo, hi in zip(cuts, cuts[1:]):
-        for n in (lo or 5, hi - 1):  # each end of the slice
-            # The module table as the parent's own slice leaves it, so the check splits again.
-            monkeypatch.setattr(counting, "_TABLE", _table_of(split_values[:cuts[1]]))
-            values = list(split_values)
-            values[n] += 1
-            assert consistency_check(_table_of(values)) == [n]
-
-
-@needs_fork
-@pytest.mark.parametrize("workers", [2], indirect=True)
-def test_split_check_compares_the_parents_own_slice(monkeypatch, split_values, workers):
-    monkeypatch.setattr(counting, "_continues", lambda *args: True)  # every child passes
-    values = list(split_values)
-    values[5] += 1
-    assert consistency_check(_table_of(values)) == [5]
-
-
-@needs_fork
-@pytest.mark.parametrize("workers", [2], indirect=True)
-def test_split_check_survives_a_child_that_raises(capfd, monkeypatch, split_values, workers):
-    def broken(*args):
-        raise RuntimeError("no verdict")
-
-    monkeypatch.setattr(counting, "_continues", broken)
-    values = list(split_values)
+# The residual check packs four entries to an integer.  Each size leaves
+# 0, 1, 2 or 3 entries past the last whole group of four, which are
+# recomputed instead; a change is tried in each slot of the last group and
+# in each entry past it.  The large tables try one change per entry there,
+# the three changes in turn, to keep the test short.
+@pytest.mark.parametrize("size", [2_001, 2_002, 2_003, 2_004, 18_001, 18_002, 18_003, 18_004])
+def test_check_reports_exactly_the_entry_changed(monkeypatch, checked_values, size):
+    monkeypatch.setattr(counting, "_TABLE", CountTable())
+    values = checked_values[:size]
     assert consistency_check(_table_of(values)) == []
-    monkeypatch.setattr(counting, "_TABLE", CountTable())  # so the check splits again
-    values[SPLIT_N] += 1
-    assert consistency_check(_table_of(values)) == [SPLIT_N]
-    assert capfd.readouterr() == ("", "")  # the child's exception stays in the child
+    assert len(counting._TABLE) == 1  # a clean table is not recomputed
+    changes = (1, -1, 10**6)
+    top = size - 1
+    near_top = range(top - top % 4 - 3, size)
+    cases = [(n, d) for n in (0, 1, 2, 3, 4, 5, 7, 12, 15) for d in changes]
+    if size < 10_000:
+        cases += [(n, d) for n in near_top for d in changes]
+    else:
+        cases += [(n, changes[i % 3]) for i, n in enumerate(near_top)]
+    for n, delta in cases:
+        changed = list(values)
+        changed[n] += delta
+        assert consistency_check(_table_of(changed)) == [n], (n, delta)
 
 
-@pytest.mark.parametrize("workers", [2], indirect=True)
-def test_split_check_falls_back_when_fork_fails(monkeypatch, split_values, workers):
-    def refused():
-        raise OSError("fork refused")
-
-    monkeypatch.setattr(os, "fork", refused, raising=False)
-    values = list(split_values)
-    values[9000] += 1
-    assert consistency_check(_table_of(values)) == [9000]
-    assert len(counting._TABLE) == len(values)
+def test_check_reports_every_entry_of_a_scaled_table():
+    # c * P satisfies the recurrence too: only T(0) = 1 ties the residuals to P.
+    values = [2 * partition_count(n) for n in range(301)]
+    assert consistency_check(_table_of(values)) == list(range(301))
 
 
-@pytest.mark.parametrize("workers", [1, 4], indirect=True)
-def test_check_runs_in_one_process_below_two_workers_or_beside_a_thread(split_values, workers):
-    release = threading.Event()
-    helper = threading.Thread(target=release.wait)
-    if workers > 1:
-        helper.start()  # a second thread: the process must not fork
-    try:
-        assert consistency_check(_table_of(split_values)) == []
-    finally:
-        release.set()
-        if workers > 1:
-            helper.join(timeout=10)
-    assert not helper.is_alive()
-    assert len(counting._TABLE) == len(split_values)
-
-
-@pytest.mark.parametrize("workers", [2], indirect=True)
-def test_check_of_a_table_already_recomputed_forks_no_child(monkeypatch, split_values, workers):
-    def forbidden():
-        raise AssertionError("forked although the module table holds every entry")
-
-    partition_count(SPLIT_N)
-    monkeypatch.setattr(os, "fork", forbidden, raising=False)
-    values = list(split_values)
-    values[9000] += 1
-    assert consistency_check(_table_of(split_values)) == []
-    assert consistency_check(_table_of(values)) == [9000]
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 400),
+       st.lists(st.tuples(st.integers(0, 400),
+                          st.one_of(st.integers(-10**6, 10**6), st.integers(-2**600, 2**600))),
+                max_size=3))
+def test_check_returns_exactly_the_entries_that_differ(top, changes):
+    values = [partition_count(n) for n in range(top + 1)]
+    for n, delta in changes:
+        values[n % (top + 1)] += delta
+    expected = [n for n, v in enumerate(values) if v != partition_count(n)]
+    assert consistency_check(_table_of(values)) == expected
