@@ -571,7 +571,8 @@ def large_table(tmp_path_factory):
     return path
 
 
-def test_large_cache_check_output(capsys, monkeypatch, tmp_path, large_table):
+def test_split_cache_check_output_matches_one_process(capsys, monkeypatch, tmp_path, large_table):
+    # The outputs the check gave when split across processes, now from one process.
     bad = tmp_path / "bad.txt"
     lines = large_table.read_text().split("\n")
     for n in (5, 8000, 11000):
