@@ -53,12 +53,12 @@ by the same statistic functions: ``partition_count_mod`` and
 one shared table per modulus (:func:`mod_table`), whose running sums add
 residues.
 
-:func:`consistency_check` checks a stored table T of P(0..N) by the
-recurrence's residuals r(m) = sum_g s_g T(m - g) - T(m), which are all 0
-exactly when T = P, given T(0) = 1.  Four consecutive entries are packed
-into one integer of W-bit slots, wide enough that no residual carries into
-the next slot, so one sum of packed integers per offset checks four
-residuals; a table the packed check does not pass is recomputed.
+:func:`consistency_check` checks a stored table T of P(0..N) as E*T = 1
+mod x^(N+1), E the pentagonal series: the recurrence's residuals r(m) =
+sum_g s_g T(m - g) - T(m) are 0 for 1 <= m <= N, and r(0) = -T(0) is -1.
+Four consecutive entries are packed into one integer of W-bit slots, wide
+enough that no residual carries into the next slot, so one sum of packed
+integers per offset checks four residuals; a table that fails is recomputed.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ _PLUS: list[int] = []
 _MINUS: list[int] = []
 
 _BLOCK = 512  # residues computed together by the block step
+_GROUP = 4  # residuals checked by one sum of packed integers
 
 
 def _getter(offsets: list[int]):
@@ -170,8 +171,7 @@ def _blocks(values: list[int], new_max: int, modulus: int, width: int) -> None:
 
     start = len(values)
     for a in range(start, start + (new_max + 1 - start) // size * size, size):
-        np = bisect_right(_PLUS, a + size - 1, key=neg)
-        nm = bisect_right(_MINUS, a + size - 1, key=neg)
+        np, nm, _ = _in_use(a + size - 1)
         with memoryview(packed) as view:  # released before the copy grows
             # The minus terms go in as m - P, so that no slot goes below zero.
             total = far(view, a, _PLUS[:np]) + nm * modulus * ones - far(view, a, _MINUS[:nm])
@@ -330,14 +330,14 @@ def distinct_members(n: int, table: CountTable | None = None) -> int:
 def consistency_check(table: CountTable) -> list[int]:
     """Check the table's entries against the recurrence; return the n whose entries differ.
 
-    A table that passes the residual check (:func:`_residuals_vanish`) is
-    right, and nothing is recomputed.  Any other table is recomputed into
-    the module's own table (only ever grown by the recurrence), so
-    :func:`partition_count` serves the recomputed values of the entries
-    reported without a second run.  A :class:`ModCountTable` is refused: its
-    entries are residues, and the check compares them with the integer
-    recurrence.  So is an entry that is not an ``int``, such as 1.0, which
-    would compare equal to P(n).
+    A table T of P(0..N) that passes :func:`_residuals_vanish`, E*T = 1 mod
+    x^(N+1), is right, and nothing is recomputed.  Any other table is wrong
+    and is recomputed into the module's own table (only ever grown by the
+    recurrence), so :func:`partition_count` serves the recomputed values of
+    the entries reported without a second run.  A :class:`ModCountTable` is
+    refused: its entries are residues, and the check compares them with the
+    integer recurrence.  So is an entry that is not an ``int``, such as 1.0,
+    which would compare equal to P(n).
     """
     if isinstance(table, ModCountTable):
         raise TypeError("consistency_check takes a CountTable of integers, not a ModCountTable")
@@ -346,63 +346,53 @@ def consistency_check(table: CountTable) -> list[int]:
         n, value = next((n, v) for n, v in enumerate(stored) if type(v) is not int)
         raise TypeError(f"consistency_check takes int entries, got {type(value).__name__} "
                         f"{value!r} at n={n}")
-    if _residuals_vanish(stored):
+    if not stored or _residuals_vanish(stored):
         return []
     partition_count(table.max_n)
-    fresh = _TABLE._values
-    if stored == fresh[:len(stored)]:
-        return []
-    return [n for n, (a, b) in enumerate(zip(stored, fresh)) if a != b]
-
-
-_GROUP = 4  # residuals checked by one sum of packed integers
+    return [n for n, (a, b) in enumerate(zip(stored, _TABLE._values)) if a != b]
 
 
 def _residuals_vanish(stored: list[int]) -> bool:
-    """Whether the recurrence's residual r(m) is 0 at every m, four at a time; False if unsure.
+    """Whether E*T = 1 mod x^(N+1), four coefficients at a time; False if unsure.
 
-    With T = ``stored`` and N its top index, the pack Z[j] holds T(j-3),
-    T(j-2), T(j-1) and T(j) in W-bit slots, T(j) lowest and T of a negative
-    index 0.  Offset by offset, sum_g s_g Z[last - g] - Z[last] then holds
-    r(last-3..last), one to a slot.  Every |r| is below (offsets + 1) times
-    the largest entry, so below 2^(W-1), and no slot carries into the next:
-    the sum is 0 exactly when all four residuals are.  As :func:`_segments`
-    reads the table, the offsets are read from the end of a prefix of the
-    packs that grows by four per group.  T(0) = 1 and r(m) = 0 for 1 <= m
-    <= N give T = P on 0..N, since the recurrence fixes each P(m) from the
-    entries before it.  The entries past the last whole group are
-    recomputed from the checked prefix.
+    T is ``stored``, N its top index and E = 1 - x - x^2 + x^5 + ... the
+    pentagonal series, so the coefficient of x^m in E*T is -r(m), with the
+    residual r(m) = sum_g s_g T(m - g) - T(m).  E*P = 1 (Euler), and the
+    recurrence fixes each P(m) from the entries before it, so T = P on 0..N
+    exactly when r(0) = -1 and r(m) = 0 for 1 <= m <= N.  The pack Z[j]
+    holds T(j-3), T(j-2), T(j-1) and T(j) in W-bit slots, T(j) lowest and T
+    of a negative index 0.  For the group ending at ``last`` (N mod 4, N mod
+    4 + 4, ..., N), sum_g s_g Z[last - g] - Z[last] holds r(last-3..last),
+    one to a slot: all 0, but for r(0) = -1 in slot ``last`` of the first.
+    Every |r| is below (offsets + 1) times the largest entry, so below
+    2^(W-1), and no slot carries into the next.  As :func:`_segments` reads
+    the table, the offsets are read from the end of ``packs[:last]``.
 
-    False, for the caller's recompute, on T(0) != 1, a negative entry, a
-    residual that is not 0, or a largest entry wider than 3.702 (isqrt(N) +
-    1) + 2 bits, an integer form of p(n) < e^(pi sqrt(2n/3)) (Apostol,
-    Introduction to Analytic Number Theory, ch. 14).  No true table reaches
-    it, and it keeps a forged huge entry from making huge packs.
+    False, for the caller's recompute, on a negative entry, a group that
+    differs, or a largest entry wider than 3.702 (isqrt(N) + 1) + 2 bits, an
+    integer form of p(n) < e^(pi sqrt(2n/3)) (Apostol, Introduction to
+    Analytic Number Theory, ch. 14).  No true table reaches it, and it keeps
+    a forged huge entry from making huge packs.
     """
     top = len(stored) - 1
-    if stored[:1] != [1] or min(stored) < 0:
-        return False
     bits = max(stored).bit_length()
-    if bits > 3702 * (isqrt(top) + 1) // 1000 + 2:
+    if min(stored) < 0 or bits > 3702 * (isqrt(top) + 1) // 1000 + 2:
         return False
     _grow_offsets(top)
     np, nm, _ = _in_use(top)
     width = bits + (np + nm + 1).bit_length() + 1
-    end = top - top % _GROUP  # where the last whole group ends
     mask = (1 << _GROUP * width) - 1
-    packs = list(accumulate(stored[:end + 1], lambda z, v: (z << width) & mask | v))
-    prefix: list[int] = []  # packs[:last] while the group ending at last is summed
-    stop = 0
-    for last in range(_GROUP, end + 1, _GROUP):
-        prefix += packs[last - _GROUP:last]
+    packs = list(accumulate(stored, lambda z, v: (z << width) & mask | v))
+    prefix, stop = [], 0  # packs[:last] while the group ending at last is summed
+    for last in range(top % _GROUP, top + 1, _GROUP):
+        prefix += packs[len(prefix):last]
         if last >= stop:  # an offset comes into use
             np, nm, stop = _in_use(last)
             gp, gm = _getter(_PLUS[:np]), _getter(_MINUS[:nm])
-        if sum(gp(prefix)) - sum(gm(prefix)) != packs[last]:
+        residuals = sum(gp(prefix)) - sum(gm(prefix)) - packs[last]
+        if residuals != (-1 << width * last if last < _GROUP else 0):  # r(0) = -T(0) = -1
             return False
-    values = stored[:end + 1]
-    _segments(values, top, None)
-    return values[end + 1:] == stored[end + 1:]
+    return True
 
 
 def save_table(table: CountTable, path) -> None:
@@ -455,8 +445,11 @@ def load_table(path) -> CountTable:
     del data
     if fields.count(b"") > 1:  # the last field is the only empty one of a good file
         raise _first_fault(_rejoin(fields))
-    values = list(map(int, fields[2::2]))
-    if (list(map(int, fields[1:-1:2])) != list(range(entries))
+    try:  # int() refuses a number past its digit limit (Python 3.10.7+)
+        numbers, values = list(map(int, fields[1:-1:2])), list(map(int, fields[2::2]))
+    except ValueError:
+        raise _first_fault(_rejoin(fields)) from None
+    if (numbers != list(range(entries))
             or values[0] != 1 or not all(map(le, values, islice(values, 1, None)))):
         raise _first_fault(_rejoin(fields))
     return CountTable(values)
@@ -480,11 +473,14 @@ def _first_fault(lines: list[bytes]) -> TableFormatError:
         if not sep or not n.isdigit() or not v.isdigit():
             text = line.decode("ascii", "replace")
             return TableFormatError(f"line {lineno}: expected 'n,value', got {text!r}")
-        if int(n) != lineno - 2:
+        try:
+            number, value = int(n), int(v)
+        except ValueError:  # past int()'s digit limit (Python 3.10.7+)
+            return TableFormatError(f"line {lineno}: a number too long to parse")
+        if number != lineno - 2:
             return TableFormatError(
-                f"line {lineno}: expected n={lineno - 2} (gap-free ascending), got n={int(n)}"
+                f"line {lineno}: expected n={lineno - 2} (gap-free ascending), got n={number}"
             )
-        value = int(v)
         if lineno == 2 and value != 1:
             return TableFormatError("line 2: first entry must be '0,1'")
         if value < previous:

@@ -447,6 +447,16 @@ def test_cache_check_rejects_corrupt_file(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() parses numbers of any length before Python 3.10.7")
+@pytest.mark.parametrize("argv", [("count", "2"), ("cache", "check")])
+def test_cache_number_too_long_to_parse_names_its_line(capsys, tmp_path, argv):
+    path = tmp_path / "table.txt"
+    path.write_text("#partition-table v1\n0,1\n1,1\n2,2\n3," + "9" * 5000 + "\n")
+    code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+    assert (code, out, err) == (2, "", "partx: cache error: line 5: a number too long to parse\n")
+
+
 def test_count_with_cache_round_trip(capsys, tmp_path):
     path = tmp_path / "table.txt"
     code, out, _ = run_cli(capsys, "count", "15", "--cache", str(path))

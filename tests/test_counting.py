@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 from itertools import accumulate
 
@@ -445,6 +446,17 @@ def test_load_names_the_first_bad_line(tmp_path):
         load_table(_write(tmp_path, body))
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() parses numbers of any length before Python 3.10.7")
+def test_load_names_the_line_of_a_number_too_long_to_parse(tmp_path):
+    body = "#partition-table v1\n0,1\n1,1\n2,2\n3," + "9" * 5000 + "\n"
+    with pytest.raises(TableFormatError, match="^line 5: a number too long to parse$"):
+        load_table(_write(tmp_path, body))
+    body = "#partition-table v1\n0,1\n" + "0" * 5000 + "1,1\n"
+    with pytest.raises(TableFormatError, match="^line 3: a number too long to parse$"):
+        load_table(_write(tmp_path, body))
+
+
 # Values that a table file may hold: P(0) = 1 and never decreasing.
 nondecreasing_tables = st.lists(st.integers(0, 10**30), max_size=40).map(
     lambda steps: list(accumulate(steps, initial=1))
@@ -556,11 +568,12 @@ def checked_values():
     return CountTable().extend(18_003).values
 
 
-# The residual check packs four entries to an integer.  Each size leaves
-# 0, 1, 2 or 3 entries past the last whole group of four, which are
-# recomputed instead; a change is tried in each slot of the last group and
-# in each entry past it.  The large tables try one change per entry there,
-# the three changes in turn, to keep the test short.
+# The residual check packs four entries to an integer, in groups that end
+# at N mod 4, N mod 4 + 4, ..., N, so each size starts the first group, and
+# puts r(0), at another offset.  A change is tried in each entry from
+# N - N mod 4 - 3 to N: the last group and up to 3 entries before it.  The
+# large tables try one change per entry there, the three changes in turn,
+# to keep the test short.
 @pytest.mark.parametrize("size", [2_001, 2_002, 2_003, 2_004, 18_001, 18_002, 18_003, 18_004])
 def test_check_reports_exactly_the_entry_changed(monkeypatch, checked_values, size):
     monkeypatch.setattr(counting, "_TABLE", CountTable())
@@ -579,6 +592,26 @@ def test_check_reports_exactly_the_entry_changed(monkeypatch, checked_values, si
         changed = list(values)
         changed[n] += delta
         assert consistency_check(_table_of(changed)) == [n], (n, delta)
+
+
+def test_check_of_a_clean_table_recomputes_nothing(monkeypatch, checked_values):
+    # E*T = 1 is checked by the packed groups alone, at every offset of the
+    # first group.
+    def forbidden(*args):
+        raise AssertionError("the check ran the recurrence")
+
+    partition_count(2_003)  # a tampered table is compared with the module table as it is
+    monkeypatch.setattr(counting, "_segments", forbidden)
+    monkeypatch.setattr(counting, "_extend", forbidden)
+    for size in [*range(1, 10), 2_001, 2_002, 2_003, 2_004]:
+        values = checked_values[:size]
+        assert consistency_check(_table_of(values)) == [], size
+        for n in range(min(size, 9)):
+            for delta in (1, -1):
+                changed = list(values)
+                changed[n] += delta
+                assert consistency_check(_table_of(changed)) == [n], (size, n, delta)
+    assert consistency_check(CountTable([])) == []
 
 
 def test_check_reports_every_entry_of_a_scaled_table():
