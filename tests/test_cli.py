@@ -782,18 +782,23 @@ README_COMMANDS = [
 ]
 
 
-# Output shapes the README commands do not reach: CSV counts and stats, a
-# stats run without its listing, a table with more columns than n, a text
-# table whose cells are wider than its headings, and congruence sweeps: the
-# refuted Q_5 mod 25 pattern on each route and format, and a passing
-# Ramanujan family on both routes.
+# Output shapes the README commands do not reach: JSON and CSV counts and
+# stats, a stats run without its listing, a table with more columns than n in
+# JSON and CSV, a text table whose cells are wider than its headings, and
+# congruence sweeps: the refuted Q_5 mod 25 pattern on each route and format,
+# its failing text report, and a passing Ramanujan family on both routes; and
+# a passing sweep in CSV.
 OUTPUT_SHAPES = [
     ("count 10 --csv", 0, "cc66c0ff7a1046510cbe1b39788efb3ef543c338201aee421ab20f394490bee2"),
+    ("count 10 --json", 0, "cac8f8bb87db1da4dab3109ec6eb77223ef026eda761097edbc01af531afc36c"),
+    ("stats 7 --json", 0, "a7ce8c408e7e58a55a932ccb83d93ed3e01af4b88bdf18c721f3b10de5a11703"),
     ("stats 7 --csv", 0, "658324fdb78ad2b4d54d1fe5da491485092da23b5d7f54caf8e3c43a3c1cacab"),
     ("stats 5 --kmax 2 --no-partitions", 0,
      "eab0c0eb154396202fa48f732b88d26144f12fde905004f2312143e5272b4fa2"),
     ("table 3 --kmax 5 --csv", 0,
      "8974f13beca09c1a38eee88a3a755114b184d1b1d5456b4567a1d1a901e0d9a6"),
+    ("table 3 --kmax 5 --json", 0,
+     "884c9912c559284cb3c20684735aa52a4ed2779ffc532e44a4cf8cacf03d590c"),
     ("table 9 --kmax 6", 0, "b754621bec33d34da54a87ce3d501e817d3a53ab4b6481dcccadb4bfd4c93e3c"),
     ("verify qk-congruence --family 5 --mod 25 --n 0..40 --json", 1,
      "3ee22797122d11a049bb2eeb96f55db39f1ec04df956ec2027c34f147f3083df"),
@@ -801,8 +806,12 @@ OUTPUT_SHAPES = [
      "0892ecb77d34c9daeb100cb3aa7b0cf90e27101a7a8db35befdd547a33d11ec1"),
     ("verify qk-congruence --family 5 --mod 25 --n 0..2 --backend oracle --csv", 1,
      "da6aa5a1e5afd68d171e19eae718d1722207aba524b060cad2b5971ced70f70b"),
+    ("verify qk-congruence --family 5 --mod 25 --n 0..2", 1,
+     "2ba86036b80abcfedcf8785b1b7cc0f72ab1a77aee6505860481a0121ea8f351"),
     ("verify ramanujan-p --family 7 --n 0..12 --backend both", 0,
      "d7008084ad609a3906fcd8b4e3c2dc7b32c2bd642c0fbc34c23a7af983c86500"),
+    ("verify lemma2 --n 1..3 --k 1..2 --csv", 0,
+     "5fd30a8bb9e3807b7ffa32252a7b12982ae3f7a93b436d2a9108c01617edc868"),
 ]
 
 
