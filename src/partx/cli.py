@@ -1,11 +1,13 @@
 """Command-line front end for the partition statistics toolkit.
 
-Commands: count, stats, table, verify, series, cache.  Output is
-human-readable text by default; --json and --csv switch to machine
-formats with the same numbers.  ``main`` is the one entry point and maps
-every outcome to an exit code: 0 success, 1 when a verification or
-consistency check failed (a cache that --verify-cache finds wrong
-included), 2 on usage or input errors, 141 when stdout was closed early.
+Commands: count, stats, table, verify, series, cache.  Output is text by
+default; --json and --csv switch to machine formats with the same numbers,
+and ``_report`` alone prints all three.  ``_cached`` loads, checks and saves
+the --cache table for count, stats and table.  ``main`` is the one entry
+point and maps every outcome to an exit code: 0 success, 1 when a
+verification or consistency check failed (a cache that --verify-cache
+finds wrong included), 2 on usage or input errors (an argument too large
+to index included), 141 when stdout was closed early.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from importlib import import_module
 
 from . import counting
@@ -48,16 +51,20 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 # json and csv are imported on use: most runs print neither, and imports slow start-up.
-def _emit_json(payload: dict) -> None:
-    import json
+def _report(args, payload: dict, rows: list[list], lines: Iterable) -> None:
+    """Print ``payload`` under --json, ``rows`` under --csv, and ``lines`` otherwise.
 
-    print(json.dumps(payload, indent=2))
-
-
-def _emit_csv(rows: list[list]) -> None:
-    import csv
-
-    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    ``lines`` may be a generator: it is read only for text output, and whole
+    before anything is printed.
+    """
+    if args.json:
+        import json
+        print(json.dumps(payload, indent=2))
+    elif args.csv:
+        import csv
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        print(*lines, sep="\n")
 
 
 def _check_cache_dir(path: str) -> None:
@@ -71,132 +78,93 @@ def _check_cache_dir(path: str) -> None:
         raise ValueError(f"cache {path}: is a directory")
 
 
-def _load_cache(args) -> tuple[CountTable | None, int]:
-    """Open the table behind --cache, honouring --verify-cache.
+def _cached(command):
+    """Run ``command(args, table)`` on the table behind --cache (None without it).
 
-    Returns (table, stored): ``table`` is None without --cache, and
-    ``stored`` is the number of entries in the file (0 when it is absent).
-    A table that --verify-cache finds wrong ends the command with exit 1.
+    The n >= 1 and --kmax >= 1 rules of stats and table are checked before
+    the file is read; a table that --verify-cache finds wrong ends the
+    command with exit 1; the file is written only when it is new or grew.
     """
-    if args.verify_cache and args.cache is None:
-        raise ValueError("--verify-cache requires --cache")
-    if args.cache is None:
-        return None, 0
-    _check_cache_dir(args.cache)
-    if os.path.exists(args.cache):
-        table = counting.load_table(args.cache)
-        stored = len(table)
-    else:
-        table = CountTable()
-        stored = 0
-    if args.verify_cache:
-        bad = counting.consistency_check(table)
+
+    def run(args) -> int:
+        if args.command != "count":
+            if args.n < 1:
+                raise ValueError(f"{args.command} needs n >= 1, got n={args.n}")
+            if args.kmax is not None and args.kmax < 1:  # stats' default kmax is n
+                raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+        if args.verify_cache and args.cache is None:
+            raise ValueError("--verify-cache requires --cache")
+        if args.cache is None:
+            return command(args, None)
+        _check_cache_dir(args.cache)
+        exists = os.path.exists(args.cache)
+        table = counting.load_table(args.cache) if exists else CountTable()
+        stored = len(table) if exists else 0
+        bad = counting.consistency_check(table) if args.verify_cache else []
         if bad:
-            print(
-                f"partx: cache {args.cache}: {len(bad)} of {len(table)} entries disagree "
-                f"with the recurrence (first at n={bad[0]})",
-                file=sys.stderr,
-            )
+            print(f"partx: cache {args.cache}: {len(bad)} of {len(table)} entries disagree "
+                  f"with the recurrence (first at n={bad[0]})", file=sys.stderr)
             raise SystemExit(1)
-    return table, stored
+        code = command(args, table)
+        if len(table) > stored:
+            counting.save_table(table, args.cache)
+        return code
+
+    return run
 
 
-def _save_cache(args, table: CountTable | None, stored: int) -> None:
-    # Write only what would change the file: a new file or a longer table.
-    if table is not None and len(table) > stored:
-        counting.save_table(table, args.cache)
-
-
-def _cmd_count(args) -> int:
-    table, stored = _load_cache(args)
+@_cached
+def _cmd_count(args, table: CountTable | None) -> int:
     value = counting.partition_count(args.n, table)
-    if args.json:
-        _emit_json({"command": "count", "n": args.n, "partition_count": value})
-    elif args.csv:
-        _emit_csv([["n", "partition_count"], [args.n, value]])
-    else:
-        print(value)
-    _save_cache(args, table, stored)
+    _report(args, {"command": "count", "n": args.n, "partition_count": value},
+            [["n", "partition_count"], [args.n, value]], [value])
     return 0
 
 
-def _cmd_stats(args) -> int:
+def _stats_lines(args, p: int, rows: list[list]) -> Iterator[str]:
+    # A generator, so that only text output builds the partition listing.
     n = args.n
-    if n < 1:
-        raise ValueError(f"stats needs n >= 1, got n={n}")
+    yield f"n = {n}"
+    yield from (f"{label} = {value}" for label, value in rows)
+    if n <= PARTITION_LIST_AUTO_MAX if args.partitions is None else args.partitions:
+        yield f"partitions of {n} ({p} total):"
+        for parts in _module("partitions").enumerate_partitions(n):
+            yield "  " + "+".join(map(str, parts))
+
+
+@_cached
+def _cmd_stats(args, table: CountTable | None) -> int:
+    n = args.n
     kmax = args.kmax if args.kmax is not None else n
-    if kmax < 1:
-        raise ValueError(f"--kmax must be >= 1, got {kmax}")
-    table, stored = _load_cache(args)
     p = counting.partition_count(n, table)
     s = counting.distinct_members(n, table)
     occurrences = {k: counting.occurrence_count(k, n, table) for k in range(1, kmax + 1)}
     rows = [[f"P({n})", p], [f"S({n})", s]] + [[f"Q_{k}({n})", v] for k, v in occurrences.items()]
-
-    if args.json:
-        _emit_json(
-            {
-                "command": "stats",
-                "n": n,
-                "partition_count": p,
-                "distinct_member_total": s,
-                "occurrence_counts": {str(k): v for k, v in occurrences.items()},
-            }
-        )
-    elif args.csv:
-        _emit_csv([["stat", "value"]] + rows)
-    else:
-        show = n <= PARTITION_LIST_AUTO_MAX if args.partitions is None else args.partitions
-        # Listed before the first print, so that a refused listing prints nothing.
-        listing = list(_module("partitions").enumerate_partitions(n)) if show else None
-        print(f"n = {n}")
-        for label, value in rows:
-            print(f"{label} = {value}")
-        if listing is not None:
-            print(f"partitions of {n} ({p} total):")
-            for parts in listing:
-                print("  " + "+".join(map(str, parts)))
-    _save_cache(args, table, stored)
+    payload = {"command": "stats", "n": n, "partition_count": p, "distinct_member_total": s,
+               "occurrence_counts": {str(k): v for k, v in occurrences.items()}}
+    _report(args, payload, [["stat", "value"]] + rows, _stats_lines(args, p, rows))
     return 0
 
 
-def _cmd_table(args) -> int:
+@_cached
+def _cmd_table(args, table: CountTable | None) -> int:
     n, kmax = args.n, args.kmax
-    if n < 1:
-        raise ValueError(f"table needs n >= 1, got n={n}")
-    if kmax < 1:
-        raise ValueError(f"--kmax must be >= 1, got {kmax}")
-    table, stored = _load_cache(args)
     s = counting.distinct_members(n, table)
     columns = []
     for k in range(1, kmax + 1):
         values = [counting.occurrence_count(k, n + i, table) for i in range(k)]
         columns.append({"k": k, "values": values, "sum": sum(values)})
-    # Row i holds Q_k(n + i); a column k ends after k rows, and "." in text marks the rest.
-    blank = "" if args.csv else "."
-    grid = [[n + i] + [c["values"][i] if i < c["k"] else blank for c in columns]
-            for i in range(kmax)]
+    # Row i holds Q_k(n + i); a column k ends after k rows, blank in CSV and "." in text.
+    grid = [[n + i] + [c["values"][i] if i < c["k"] else "" for c in columns] for i in range(kmax)]
     grid.append(["total"] + [c["sum"] for c in columns])
-
-    if args.json:
-        _emit_json(
-            {
-                "command": "table",
-                "n": n,
-                "kmax": kmax,
-                "distinct_member_total": s,
-                "columns": columns,
-            }
-        )
-    elif args.csv:
-        _emit_csv([["n"] + [f"k={c['k']}" for c in columns]] + grid)
-    else:
-        cells = [["n\\k"] + [str(c["k"]) for c in columns]] + [list(map(str, r)) for r in grid]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        print(f"occurrence table for n={n}, k=1..{kmax} (every column sums to S({n})={s})")
-        for row in cells:
-            print("  ".join(val.rjust(w) for val, w in zip(row, widths)))
-    _save_cache(args, table, stored)
+    cells = [["n\\k"] + [str(c["k"]) for c in columns]]
+    cells += [[str(v) or "." for v in r] for r in grid]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = [f"occurrence table for n={n}, k=1..{kmax} (every column sums to S({n})={s})"]
+    lines += ["  ".join(val.rjust(w) for val, w in zip(row, widths)) for row in cells]
+    payload = {"command": "table", "n": n, "kmax": kmax, "distinct_member_total": s,
+               "columns": columns}
+    _report(args, payload, [["n"] + [f"k={c['k']}" for c in columns]] + grid, lines)
     return 0
 
 
@@ -221,27 +189,21 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"{exc} (--backend closed)") from None
         raise
 
-    if args.json:
-        _emit_json(result.as_dict())
-    elif args.csv:
-        rows = [
-            ["identity", "range", "total", "failures"],
-            [result.identity, result.range_description, result.total_checked, len(result.failures)],
-        ]
-        if result.failures:
-            rows.append(["identity", "params", "lhs", "rhs", "backend"])
-            for f in result.failures:
-                rows.append([f.identity, _format_params(f.params), f.lhs, f.rhs, f.backend])
-        _emit_csv(rows)
-    else:
-        print(f"identity: {result.identity}")
-        print(f"range: {result.range_description}")
-        print(f"backend: {result.backend}")
-        print(f"checked: {result.total_checked}")
-        print(f"failures: {len(result.failures)}")
-        for f in result.failures:
-            print(f"  FAIL {_format_params(f.params)} lhs={f.lhs} rhs={f.rhs} backend={f.backend}")
-        print("PASS" if result.ok else "FAIL")
+    failures = result.failures
+    rows = [
+        ["identity", "range", "total", "failures"],
+        [result.identity, result.range_description, result.total_checked, len(failures)],
+    ]
+    if failures:
+        rows.append(["identity", "params", "lhs", "rhs", "backend"])
+        rows += [[f.identity, _format_params(f.params), f.lhs, f.rhs, f.backend] for f in failures]
+    lines = [f"identity: {result.identity}", f"range: {result.range_description}",
+             f"backend: {result.backend}", f"checked: {result.total_checked}",
+             f"failures: {len(failures)}"]
+    lines += [f"  FAIL {_format_params(f.params)} lhs={f.lhs} rhs={f.rhs} backend={f.backend}"
+              for f in failures]
+    lines.append("PASS" if result.ok else "FAIL")
+    _report(args, result.as_dict(), rows, lines)
     return 0 if result.ok else 1
 
 
@@ -399,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except TableFormatError as exc:
         print(f"partx: cache error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"partx: error: {exc}", file=sys.stderr)
         return 2
 

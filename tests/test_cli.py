@@ -401,6 +401,13 @@ def test_series_usage_errors(capsys):
     assert code == 2  # trunc < k
 
 
+@pytest.mark.parametrize("kind", [["f"], ["gk", "--k", "5"], ["euler4"]])
+def test_series_trunc_too_large_to_index_is_an_input_error(capsys, kind):
+    code, out, err = run_cli(capsys, "series", *kind, "--trunc", "100000000000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("partx: error: ") and "Traceback" not in err
+
+
 def test_cache_build_and_check(capsys, tmp_path):
     path = tmp_path / "table.txt"
     code, out, _ = run_cli(capsys, "cache", "build", "--max", "25", "--cache", str(path))
