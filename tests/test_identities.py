@@ -355,6 +355,61 @@ def test_sweep_errors():
         sweep("elder", (1, 5), (1, 3), backend=BOTH)
 
 
+_KNOWN = ("stanley, extended_stanley, lemma1, lemma2, result1, result2, difference_identity, "
+          "elder, ramanujan_p, qk_congruence")
+
+
+@pytest.mark.parametrize("args, kwargs, error, message", [
+    # one fault each
+    (("nonsense", (1, 5)), {}, ValueError, f"unknown identity 'nonsense'; known: {_KNOWN}"),
+    (("stanley", (1, 5)), {"backend": "series"}, ValueError, "unknown backend 'series'"),
+    (("elder", (1, 5), (1, 3)), {"backend": CLOSED_FORM}, ValueError,
+     "elder has no closed form; use the oracle backend"),
+    (("stanley", 5), {}, ValueError, "n range must be an (lo, hi) pair, got 5"),
+    (("stanley", ()), {}, ValueError, "n range must be an (lo, hi) pair, got ()"),
+    (("stanley", (1.9, 5)), {}, TypeError, "n range bounds must be integers, got (1.9, 5)"),
+    (("stanley", (5, 1)), {}, ValueError, "n range is empty: 5..1"),
+    (("lemma1", (1, 5), ()), {}, ValueError, "k range must be an (lo, hi) pair, got ()"),
+    (("lemma1", (1, 5), (1, 2.0)), {}, TypeError, "k range bounds must be integers, got (1, 2.0)"),
+    (("lemma1", (1, 5), (3, 1)), {}, ValueError, "k range is empty: 3..1"),
+    (("stanley", (1, 5), (1, 2)), {}, ValueError, "stanley does not take a k range"),
+    (("lemma1", (1, 5)), {}, ValueError, "lemma1 needs a k range"),
+    (("ramanujan_p", (0, 5)), {}, ValueError, "ramanujan_p needs a family (5, 7 or 11)"),
+    (("ramanujan_p", (0, 5)), {"modulus": 25}, ValueError,
+     "ramanujan_p needs a family (5, 7 or 11)"),
+    (("qk_congruence", (0, 5)), {}, ValueError, "qk_congruence needs a family (the part k)"),
+    (("qk_congruence", (0, 5)), {"modulus": 25}, ValueError,
+     "qk_congruence needs a family (the part k)"),
+    (("lemma1", (1, 5), (1, 2)), {"family": 5}, ValueError,
+     "lemma1 does not take a family or modulus"),
+    (("lemma1", (1, 5), (1, 2)), {"modulus": 5}, ValueError,
+     "lemma1 does not take a family or modulus"),
+    (("ramanujan_p", (0, 5)), {"family": 5, "modulus": 7}, ValueError,
+     "ramanujan_p checks mod the family itself"),
+    (("ramanujan_p", (0, 5)), {"family": 5, "modulus": 5.0}, TypeError,
+     "modulus must be an integer, got 5.0"),
+    (("qk_congruence", (0, 5)), {"family": 5.0}, TypeError, "family must be an integer, got 5.0"),
+    (("lemma1", (1, 5), (1, 2)), {"family": 5.0}, ValueError,
+     "lemma1 does not take a family or modulus"),
+    # two faults each: the check that fires first is plan, n range, k range
+    # shape, family and mod, then whether the identity takes a k range
+    (("nonsense", (5, 1)), {}, ValueError, f"unknown identity 'nonsense'; known: {_KNOWN}"),
+    (("stanley", (5, 1), (1, 2)), {}, ValueError, "n range is empty: 5..1"),
+    (("stanley", (1, 5), ()), {}, ValueError, "k range must be an (lo, hi) pair, got ()"),
+    (("stanley", (1, 5), (3, 1)), {}, ValueError, "k range is empty: 3..1"),
+    (("lemma1", (1, 5)), {"family": 5}, ValueError, "lemma1 does not take a family or modulus"),
+    (("ramanujan_p", (0, 5), (1, 2)), {}, ValueError, "ramanujan_p needs a family (5, 7 or 11)"),
+    (("ramanujan_p", (0, 5), (1, 2)), {"family": 5.0}, TypeError,
+     "family must be an integer, got 5.0"),
+])
+def test_sweep_refusals_are_pinned(monkeypatch, args, kwargs, error, message):
+    monkeypatch.setattr(counting, "_MOD_TABLES", {})
+    with pytest.raises(error) as raised:
+        sweep(*args, **kwargs)
+    assert (type(raised.value), str(raised.value)) == (error, message)
+    assert counting._MOD_TABLES == {}  # refused before any table
+
+
 def test_sweep_and_verify_refuse_arguments_that_are_not_integers(monkeypatch):
     monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
     for bounds in ((1.9, 5), (1, 5.5), ("1", "5")):
