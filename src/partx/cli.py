@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
     if args.identity not in names:
         raise ValueError(f"unknown identity {args.identity!r} (choose from {', '.join(names)})")
     n_range = _parse_range(args.n, "--n")
-    k_range = _parse_range(args.k, "--k") if args.k else None
+    k_range = None if args.k is None else _parse_range(args.k, "--k")
 
     backend = identities.CLOSED_FORM if args.backend == "closed" else args.backend
     try:

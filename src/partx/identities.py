@@ -158,9 +158,11 @@ class Spec(NamedTuple):
     """One identity: its two sides over a route, and how it is run.
 
     ``sides(route, *args)`` computes the identity's lhs and rhs on a
-    :class:`Route` from the arguments named by ``params``, in order: ``n``
-    and ``k`` are swept, ``family`` and ``mod`` stay fixed for the whole
-    sweep.  An equality (``ring`` None) passes when lhs == rhs.  A
+    :class:`Route` from the arguments named by ``params``, in order.  That
+    order is the one ``sides``, ``span``, ``ring`` and ``labels`` take, and
+    the order of a sweep's instances and of its range text: ``n`` and ``k``
+    are swept, ``family`` and ``mod`` are one value for the whole sweep.
+    An equality (``ring`` None) passes when lhs == rhs.  A
     congruence's ``ring`` gives its modulus m from the same arguments, and
     its ``sides`` one count, which passes when it is 0 mod m.  ``span``
     checks the arguments, raising the errors that :func:`verify` and
@@ -301,7 +303,7 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_range(rng, name) -> tuple[int, int]:
+def _check_range(rng, name) -> range:
     try:
         lo, hi = rng
     except (TypeError, ValueError):
@@ -312,7 +314,7 @@ def _check_range(rng, name) -> tuple[int, int]:
         raise TypeError(f"{name} range bounds must be integers, got {rng!r}") from None
     if lo > hi:
         raise ValueError(f"{name} range is empty: {lo}..{hi}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def sweep(
@@ -325,37 +327,30 @@ def sweep(
 ) -> SweepResult:
     """Run one identity over the whole range, collecting every failure.
 
-    Reports are generated in (n, k) order and the sweep never stops early,
-    so the failure list is complete and deterministic.  ``backend`` defaults
+    Reports come in the order of the spec's ``params`` and the sweep never
+    stops early, so the failure list is complete and deterministic.  ``backend`` defaults
     to the identity's own (``SPECS[identity].backend``), and the result
     records the one that ran and the instances each of its routes checked.
     """
     spec, backend, builders = _plan(identity, backend)
-    n_lo, n_hi = _check_range(n_range, "n")
-    k_bounds = None if k_range is None else _check_range(k_range, "k")
-
-    fixed = {}  # the leading arguments, family and mod, the same for every instance
-    if "family" in spec.params:
+    given = {"n": _check_range(n_range, "n"),  # each name's values, ordered by spec.params below
+             "k": None if k_range is None else _check_range(k_range, "k")}
+    if "family" in spec.params:  # family and mod are one value for the whole sweep
         if family is None:
             raise ValueError(f"{identity} needs a family {spec.family_hint}")
-        fixed["family"] = family = _integer(family, "family")
+        family = _integer(family, "family")
         modulus = family if modulus is None else _integer(modulus, "modulus")
-        if "mod" in spec.params:
-            fixed["mod"] = modulus
-        elif modulus != family:
+        if modulus != family and "mod" not in spec.params:
             raise ValueError(f"{identity} checks mod the family itself")
+        given["family"], given["mod"] = (family,), (modulus,)
     elif family is not None or modulus is not None:
         raise ValueError(f"{identity} does not take a family or modulus")
-    ranges = {name: (value,) for name, value in fixed.items()} | {"n": range(n_lo, n_hi + 1)}
-    if "k" in spec.params:
-        if k_bounds is None:
-            raise ValueError(f"{identity} needs a k range")
-        ranges["k"] = range(k_bounds[0], k_bounds[1] + 1)
-    elif k_bounds is not None:
-        raise ValueError(f"{identity} does not take a k range")
-    description = ", ".join(f"{name}={r[0]}" if name in fixed else f"{name}={r[0]}..{r[-1]}"
-                            for name, r in ranges.items())
+    if ("k" in spec.params) != (k_range is not None):
+        raise ValueError(f"{identity} {'needs' if k_range is None else 'does not take'} a k range")
+    ranges = [given[name] for name in spec.params]
+    description = ", ".join(f"{name}={r[0]}..{r[-1]}" if isinstance(r, range) else f"{name}={r[0]}"
+                            for name, r in zip(spec.params, ranges))
 
-    failures, checked = _run(identity, spec, backend, builders, list(ranges.values()))
+    failures, checked = _run(identity, spec, backend, builders, ranges)
     total = checked[builders[0][0]]  # the first route runs every instance
     return SweepResult(identity, description, total, failures, backend, checked)

@@ -228,6 +228,13 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("identity", ["stanley", "lemma2"])
+def test_verify_empty_k_is_an_input_error(capsys, identity):
+    # An empty --k is a malformed range, as an empty --n is, not an absent one.
+    assert run_cli(capsys, "verify", identity, "--n", "1..5", "--k", "") == (
+        2, "", "partx: error: --k expects 'A' or 'A..B', got ''\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -410,6 +410,20 @@ def test_sweep_refusals_are_pinned(monkeypatch, args, kwargs, error, message):
     assert counting._MOD_TABLES == {}  # refused before any table
 
 
+def test_sweep_passes_arguments_in_the_order_of_params(monkeypatch):
+    # n before family: every instance, report and the range text follow params.
+    calls = []
+    after = identities.Spec(lambda at, n, family: calls.append((n, family)) or (at.p(n), family),
+                            ("n", "family"), lambda n, family: n)
+    monkeypatch.setitem(identities.SPECS, "after", after)
+    result = sweep("after", (1, 3), family=50)
+    assert calls == [(1, 50), (2, 50), (3, 50)]
+    assert result.range_description == "n=1..3, family=50"
+    assert [(f.params, f.lhs, f.rhs) for f in result.failures] == [
+        ({"n": n, "family": 50}, counting.partition_count(n), 50) for n in (1, 2, 3)]
+    assert result.failures == [verify("after", n, 50) for n in (1, 2, 3)]
+
+
 def test_sweep_and_verify_refuse_arguments_that_are_not_integers(monkeypatch):
     monkeypatch.setattr(counting, "_TABLE", counting.CountTable())
     for bounds in ((1.9, 5), (1, 5.5), ("1", "5")):
