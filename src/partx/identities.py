@@ -327,9 +327,9 @@ def sweep(
 ) -> SweepResult:
     """Run one identity over the whole range, collecting every failure.
 
-    Reports come in the order of the spec's ``params`` and the sweep never
-    stops early, so the failure list is complete and deterministic.  ``backend`` defaults
-    to the identity's own (``SPECS[identity].backend``), and the result
+    Reports come in ``params`` order and the sweep never stops early, so
+    the failure list is complete and deterministic.  ``backend`` defaults to
+    the identity's own (``SPECS[identity].backend``), and the result
     records the one that ran and the instances each of its routes checked.
     """
     spec, backend, builders = _plan(identity, backend)
