@@ -500,6 +500,62 @@ def test_load_accepts_tampered_value_but_check_catches_it(tmp_path):
     assert consistency_check(table) == [4]
 
 
+_TOO_LONG = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                               reason="int() parses numbers of any length before Python 3.10.7")
+
+
+# Each refusal of the loader in full, a file of two faults named by its first.
+@pytest.mark.parametrize("data, message", [
+    (b"", "line 1: expected header '#partition-table v1'"),
+    (b"#partition-table v2\n0,1\n", "line 1: expected header '#partition-table v1'"),
+    (b"#partition-table v2\n0,x\n", "line 1: expected header '#partition-table v1'"),
+    (b"#partition-table v1", "line 2: missing mandatory entry '0,1'"),
+    (b"#partition-table v1\n", "line 2: missing mandatory entry '0,1'"),
+    (b"#partition-table v1\n0,2\n", "line 2: first entry must be '0,1'"),
+    (b"#partition-table v1\n0,2\n1,1\n", "line 2: first entry must be '0,1'"),
+    (b"#partition-table v1\n1,2\n", "line 2: expected n=0 (gap-free ascending), got n=1"),
+    (b"#partition-table v1\n0,1\n\n", "line 3: expected 'n,value', got ''"),
+    (b"#partition-table v1\n0,1\n1,1,2\n", "line 3: expected 'n,value', got '1,1,2'"),
+    ("#partition-table v1\n0,1\n1,\u00b9\n".encode("utf-8"),  # a non-ASCII digit
+     "line 3: expected 'n,value', got '1,\ufffd\ufffd'"),
+    (b"#partition-table v1\n0,1\n1,x\n2,2", "line 3: expected 'n,value', got '1,x'"),
+    (b"#partition-table v1\n0,1\n5,x\n", "line 3: expected 'n,value', got '5,x'"),
+    (b"#partition-table v1\n0,1\n1,1\n3,3\n", "line 4: expected n=2 (gap-free ascending), got n=3"),
+    (b"#partition-table v1\n0,1\n1,1\n2,2\n4,1\n",
+     "line 5: expected n=3 (gap-free ascending), got n=4"),
+    (b"#partition-table v1\n0,1\n1,1\n2,2\n3,0\n", "line 5: P(3) is less than P(2) on the line before"),
+    (b"#partition-table v1\n0,1\n1,1\n2,2\n3,1\n4,5\n6,7\n",
+     "line 5: P(3) is less than P(2) on the line before"),
+    (b"#partition-table v1\n0,1", "line 2: entry '0,1' does not end in a newline (file cut short?)"),
+    (b"#partition-table v1\n0,1\n1,1\n2,2",
+     "line 4: entry '2,2' does not end in a newline (file cut short?)"),
+    pytest.param(b"#partition-table v1\n0,1\n1,1\n2,2\n3," + b"9" * 5000 + b"\n",
+                 "line 5: a number too long to parse", marks=_TOO_LONG),
+])
+def test_load_refusal_text(tmp_path, data, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(TableFormatError) as info:
+        load_table(path)
+    assert str(info.value) == message
+
+
+def test_load_reads_cr_and_crlf_line_ends_as_lf(tmp_path):
+    lf = tmp_path / "lf.txt"
+    save_table(CountTable().extend(60), lf)
+    data = lf.read_bytes()
+    for end in (b"\r\n", b"\r"):
+        other = tmp_path / "other.txt"
+        other.write_bytes(data.replace(b"\n", end))
+        assert load_table(other).values == load_table(lf).values
+    decrease = data.replace(b"\n3,3\n", b"\n3,0\n")
+    for end in (b"\n", b"\r\n"):
+        other.write_bytes(decrease.replace(b"\n", end))
+        with pytest.raises(TableFormatError) as info:
+            load_table(other)
+        assert str(info.value) == "line 5: P(3) is less than P(2) on the line before"
+
+
 # Ranges over -30..250 in either direction: a negative start, a negative
 # step, a step beyond the range and an empty range all come up, and the
 # small steps make reads of one residue class recur.
