@@ -68,12 +68,9 @@ import sys
 from bisect import bisect_right
 from itertools import accumulate, islice, repeat
 from math import isqrt
-from operator import index, itemgetter, le, neg
+from operator import index, itemgetter, neg
 
 TABLE_HEADER = "#partition-table v1"
-_HEADER_LINE = TABLE_HEADER.encode("ascii") + b"\n"
-_DIGITS = b"0123456789"
-_HEADER_SKELETON = _HEADER_LINE.translate(None, _DIGITS)
 
 
 class TableFormatError(ValueError):
@@ -424,71 +421,47 @@ def load_table(path) -> CountTable:
     The header, the leading ``0,1`` line, gap-free increasing n, decimal
     values that never decrease and a newline at the end of every entry are
     enforced; the values themselves are trusted (run
-    :func:`consistency_check` to re-derive them).  The checks run on the
-    whole buffer at once; only a file that fails one is walked line by line,
-    to name its first bad line.
+    :func:`consistency_check` to re-derive them).  One walk over the lines
+    checks each entry and collects its value, and stops at the first bad
+    line, which the error names.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # newlines as a text-mode read sees them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    # Deleting the digits leaves ",\n" per entry exactly when every line is
-    # digits, one comma, digits and a newline; a last line cut short and
-    # empty fields leave no trace there, so they are looked for apart.
-    entries = data.count(b"\n") - 1
-    if (not data.startswith(_HEADER_LINE) or entries < 1 or not data.endswith(b"\n")
-            or data.translate(None, _DIGITS) != _HEADER_SKELETON + b",\n" * entries):
-        raise _first_fault(data.split(b"\n"))
-    # One buffer at a time: each step drops the one before.
-    data = data.replace(b",", b"\n")
-    fields = data.split(b"\n")  # header, n0, v0, n1, v1, ..., b""
-    del data
-    if fields.count(b"") > 1:  # the last field is the only empty one of a good file
-        raise _first_fault(_rejoin(fields))
-    try:  # int() refuses a number past its digit limit (Python 3.10.7+)
-        numbers, values = list(map(int, fields[1:-1:2])), list(map(int, fields[2::2]))
-    except ValueError:
-        raise _first_fault(_rejoin(fields)) from None
-    if (numbers != list(range(entries))
-            or values[0] != 1 or not all(map(le, values, islice(values, 1, None)))):
-        raise _first_fault(_rejoin(fields))
-    return CountTable(values)
-
-
-def _rejoin(fields: list[bytes]) -> list[bytes]:
-    """The lines a table was split into ``fields`` from, one comma per entry line."""
-    return [fields[0], *map(b",".join, zip(fields[1::2], fields[2::2])), b""]
-
-
-def _first_fault(lines: list[bytes]) -> TableFormatError:
-    """The error naming the first bad line of a table file split at its newlines."""
-    if lines[0] != _HEADER_LINE[:-1]:
-        return TableFormatError(f"line 1: expected header {TABLE_HEADER!r}")
+    lines = data.split(b"\n")
+    del data  # the lines hold a copy
+    if lines[0] != TABLE_HEADER.encode("ascii"):
+        raise TableFormatError(f"line 1: expected header {TABLE_HEADER!r}")
     *entries, tail = lines[1:] or [b""]  # a header cut before its newline has no entries
     if not entries and not tail:
-        return TableFormatError("line 2: missing mandatory entry '0,1'")
+        raise TableFormatError("line 2: missing mandatory entry '0,1'")
+    values = []
     previous = 0
-    for lineno, line in enumerate(entries, start=2):
+    for i, line in enumerate(entries):  # line i + 2 holds P(i)
         n, sep, v = line.partition(b",")
-        if not sep or not n.isdigit() or not v.isdigit():
+        if not sep or not n.isdigit() or not v.isdigit():  # ASCII digits only
             text = line.decode("ascii", "replace")
-            return TableFormatError(f"line {lineno}: expected 'n,value', got {text!r}")
+            raise TableFormatError(f"line {i + 2}: expected 'n,value', got {text!r}")
         try:
             number, value = int(n), int(v)
         except ValueError:  # past int()'s digit limit (Python 3.10.7+)
-            return TableFormatError(f"line {lineno}: a number too long to parse")
-        if number != lineno - 2:
-            return TableFormatError(
-                f"line {lineno}: expected n={lineno - 2} (gap-free ascending), got n={number}"
+            raise TableFormatError(f"line {i + 2}: a number too long to parse") from None
+        if number != i:
+            raise TableFormatError(
+                f"line {i + 2}: expected n={i} (gap-free ascending), got n={number}"
             )
-        if lineno == 2 and value != 1:
-            return TableFormatError("line 2: first entry must be '0,1'")
+        if i == 0 and value != 1:
+            raise TableFormatError("line 2: first entry must be '0,1'")
         if value < previous:
-            return TableFormatError(
-                f"line {lineno}: P({lineno - 2}) is less than P({lineno - 3}) on the line before"
+            raise TableFormatError(
+                f"line {i + 2}: P({i}) is less than P({i - 1}) on the line before"
             )
+        values.append(value)
         previous = value
-    text = tail.decode("ascii", "replace")
-    return TableFormatError(
-        f"line {len(entries) + 2}: entry {text!r} does not end in a newline (file cut short?)"
-    )
+    if tail:
+        text = tail.decode("ascii", "replace")
+        raise TableFormatError(
+            f"line {len(entries) + 2}: entry {text!r} does not end in a newline (file cut short?)"
+        )
+    return CountTable(values)
