@@ -595,8 +595,8 @@ def large_table(tmp_path_factory):
     return path
 
 
-def test_split_cache_check_output_matches_one_process(capsys, monkeypatch, tmp_path, large_table):
-    # The outputs the check gave when split across processes, now from one process.
+def test_cache_check_reports_entries_far_apart_in_a_large_table(capsys, monkeypatch, tmp_path,
+                                                                 large_table):
     bad = tmp_path / "bad.txt"
     lines = large_table.read_text().split("\n")
     for n in (5, 8000, 11000):

@@ -1,6 +1,5 @@
 import os
 import sys
-import threading
 from itertools import accumulate
 
 import pytest
@@ -690,36 +689,21 @@ def test_check_returns_exactly_the_entries_that_differ(top, changes):
 
 
 @pytest.fixture
-def workers(request, monkeypatch):
-    """The host reports request.param usable CPUs, and a fork fails the test."""
+def no_fork(monkeypatch):
+    """A fork fails the test, and the module table starts empty."""
     def forbidden():
         raise AssertionError("consistency_check forked")
 
-    monkeypatch.setattr(os, "cpu_count", lambda: request.param)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
     monkeypatch.setattr(os, "fork", forbidden, raising=False)
     monkeypatch.setattr(counting, "_TABLE", CountTable())
-    return request.param
 
 
-@pytest.mark.parametrize("workers", [1, 4], indirect=True)
-def test_check_runs_in_one_process_below_two_workers_or_beside_a_thread(checked_values, workers):
-    release = threading.Event()
-    helper = threading.Thread(target=release.wait)
-    if workers > 1:
-        helper.start()
-    try:
-        assert consistency_check(_table_of(checked_values[:12_289])) == []
-    finally:
-        release.set()
-        if workers > 1:
-            helper.join(timeout=10)
-    assert not helper.is_alive()
+def test_check_of_a_large_clean_table_forks_no_child(checked_values, no_fork):
+    assert consistency_check(_table_of(checked_values[:12_289])) == []
     assert len(counting._TABLE) == 1
 
 
-@pytest.mark.parametrize("workers", [2], indirect=True)
-def test_check_of_a_table_already_recomputed_forks_no_child(checked_values, workers):
+def test_check_of_a_table_already_recomputed_forks_no_child(checked_values, no_fork):
     values = list(checked_values[:12_289])
     partition_count(12_288)
     values[9000] += 1
