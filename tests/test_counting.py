@@ -543,8 +543,8 @@ def test_load_reads_cr_and_crlf_line_ends_as_lf(tmp_path):
     lf = tmp_path / "lf.txt"
     save_table(CountTable().extend(60), lf)
     data = lf.read_bytes()
+    other = tmp_path / "other.txt"
     for end in (b"\r\n", b"\r"):
-        other = tmp_path / "other.txt"
         other.write_bytes(data.replace(b"\n", end))
         assert load_table(other).values == load_table(lf).values
     decrease = data.replace(b"\n3,3\n", b"\n3,0\n")
